@@ -2,16 +2,17 @@
 """CI gate over the ``BENCH_explore.json`` speedup trajectory.
 
 After the perf benchmarks append their entries, this script gates each
-tracked kind independently (``GATED_KINDS`` maps kind -> gated metric),
-comparing the *newest* entry's metric against the *best prior* entry of
-the same kind:
+tracked kind independently (``GATED_KINDS`` maps kind -> gated metric,
+a dotted path into the entry such as ``modes.batch_lazy.configs_per_sec``
+for absolute throughput), comparing the *newest* entry's metric against
+the *best prior* entry of the same kind:
 
 * within ``WARN_RATIO`` (2x) of the best: OK;
 * worse than ``WARN_RATIO`` but within ``FAIL_RATIO`` (5x): a warning
   comment lands in the GitHub step summary, the build stays green
   (shared-runner timing noise routinely costs 2x);
 * worse than ``FAIL_RATIO``: hard failure — a 5x drop is a real
-  regression (e.g. the memoized path silently falling back to brute
+  regression (e.g. the default engine silently falling back to brute
   force), not noise.
 
 Usage: ``check_bench_regression.py [path-to-BENCH_explore.json]``.
@@ -29,14 +30,16 @@ from pathlib import Path
 #: Trajectory entries examined and the metric gated (the historical
 #: single-kind default, kept for backward compatibility).
 KIND = "explore_scaling"
-METRIC = "speedup_memoized_vs_brute"
+METRIC = "speedup_explore_vs_brute"
 #: Every gated kind and its metric; ``main`` assesses each in turn and
-#: the build fails if any kind regresses past the hard gate.
+#: the build fails if any kind regresses past the hard gate. Every
+#: metric is measured against a baseline run in the same session, or is
+#: an absolute throughput.
 GATED_KINDS: dict[str, str] = {
-    "explore_scaling": "speedup_memoized_vs_brute",
-    "explore_vectorized": "speedup_batch_vs_scalar",
-    "explore_pruned_vectorized": "speedup_fused_vs_scalar_pruned",
-    "campaign_fleet_columnar": "speedup_lazy_vs_materialize",
+    "explore_scaling": "speedup_explore_vs_brute",
+    "explore_vectorized": "modes.batch_lazy.configs_per_sec",
+    "explore_pruned_vectorized": "modes.fused_lazy.configs_per_sec",
+    "campaign_fleet_columnar": "speedup_lazy_vs_off",
     "joint_fleet": "speedup_joint_vs_naive",
 }
 #: best_prior / latest above this: warn-only comment in the summary.
@@ -45,15 +48,27 @@ WARN_RATIO = 2.0
 FAIL_RATIO = 5.0
 
 
+def metric_value(entry: dict, metric: str) -> float | None:
+    """The entry's value at a dotted metric path, or None when any step
+    is missing or the value is not a number."""
+    value: object = entry
+    for key in metric.split("."):
+        if not isinstance(value, dict):
+            return None
+        value = value.get(key)
+    return value if isinstance(value, (int, float)) else None
+
+
 def latest_and_best_prior(
     trajectory: list[dict], kind: str = KIND, metric: str = METRIC
 ) -> tuple[float | None, float | None]:
     """(newest entry's metric, best metric among prior same-kind
     entries); None where no such entry exists."""
     values = [
-        entry[metric]
+        value
         for entry in trajectory
-        if entry.get("kind") == kind and isinstance(entry.get(metric), (int, float))
+        if entry.get("kind") == kind
+        and (value := metric_value(entry, metric)) is not None
     ]
     if not values:
         return None, None
@@ -74,12 +89,15 @@ def assess(
     if latest is None:
         return "ok", f"no {kind!r} entries with {metric!r} in the trajectory yet"
     if best_prior is None:
-        return "ok", f"first {kind!r} entry: {metric} = {latest}x (no prior to gate against)"
+        return (
+            "ok",
+            f"first {kind!r} entry: {metric} = {latest} (no prior to gate against)",
+        )
     if latest <= 0:
-        return "fail", f"newest {metric} is {latest}x — the gated path lost outright"
+        return "fail", f"newest {metric} is {latest} — the gated path lost outright"
     ratio = best_prior / latest
     message = (
-        f"newest {metric} = {latest}x vs best prior {best_prior}x "
+        f"newest {metric} = {latest} vs best prior {best_prior} "
         f"({ratio:.2f}x off the best)"
     )
     if ratio > fail_ratio:

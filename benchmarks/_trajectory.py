@@ -6,7 +6,7 @@ Two failure modes motivated splitting this out of ``conftest.py``:
   over the *post-append* trajectory, so a same-session
   ``explore_scaling`` entry recorded minutes earlier on the same
   machine inflated the bar and failed full-suite runs that passed in
-  isolation — the bar must be computed from a session-start snapshot;
+  isolation — every bar must be computed from a session-start snapshot;
 * every ``pytest`` run rewrote tracked artifacts (``BENCH_explore.json``
   and ``benchmarks/results/*``), leaving ``git status`` dirty after an
   ordinary tier-1 run — publishing to the tracked paths is now an
@@ -106,21 +106,32 @@ def append_entry(
     return trajectory[-cap:]
 
 
-def best_prior_memoized(baseline: list[dict]) -> float | None:
-    """Best memoized configs/sec among genuinely prior entries.
+def best_prior_mode_rate(baseline: list[dict], kind: str, mode: str) -> float | None:
+    """Best ``modes[mode]["configs_per_sec"]`` among genuinely prior
+    entries of ``kind``, or None when there is none.
 
     ``baseline`` must be the session-start snapshot of the trajectory,
     NOT the post-append list ``append_entry`` returns: entries recorded
     earlier in the same pytest session come from this machine at this
     commit and would silently couple one benchmark's bar to another
     benchmark's fresh measurement.
+
+    The bars below anchor on modes the engine no longer runs (the
+    scalar memoized walk, the materialized dedup finalize): their best
+    recorded values are fixed history, so each bar keeps the strength
+    it had when its baseline was measured in the same run.
     """
     prior = [
-        e["modes"]["memoized"]["configs_per_sec"]
+        e["modes"][mode]["configs_per_sec"]
         for e in baseline
-        if e.get("kind") == "explore_scaling" and "memoized" in e.get("modes", {})
+        if e.get("kind") == kind and mode in e.get("modes", {})
     ]
     return max(prior) if prior else None
+
+
+def best_prior_memoized(baseline: list[dict]) -> float | None:
+    """Best memoized configs/sec among prior ``explore_scaling`` entries."""
+    return best_prior_mode_rate(baseline, "explore_scaling", "memoized")
 
 
 def vectorized_bar(baseline: list[dict]) -> float | None:
@@ -129,3 +140,23 @@ def vectorized_bar(baseline: list[dict]) -> float | None:
     against (first run on a fresh trajectory)."""
     best = best_prior_memoized(baseline)
     return None if best is None else 10.0 * best
+
+
+def fused_lazy_bar(baseline: list[dict]) -> float | None:
+    """The lazy fused-pruning throughput floor: 5x the best prior
+    ``scalar_pruned`` rate of ``explore_pruned_vectorized`` entries, or
+    None without one."""
+    best = best_prior_mode_rate(baseline, "explore_pruned_vectorized", "scalar_pruned")
+    return None if best is None else 5.0 * best
+
+
+def fleet_lazy_seconds_bar(baseline: list[dict]) -> float | None:
+    """The lazy fleet-dedup time ceiling: the best (lowest) prior
+    ``seconds_materialize`` of ``campaign_fleet_columnar`` entries over
+    5, or None without one."""
+    prior = [
+        e["seconds_materialize"]
+        for e in baseline
+        if e.get("kind") == "campaign_fleet_columnar" and "seconds_materialize" in e
+    ]
+    return min(prior) / 5.0 if prior else None

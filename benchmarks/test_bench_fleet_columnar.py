@@ -1,30 +1,35 @@
-"""Fleet-scale columnar dedup benchmark: lazy vs materialized finalize.
+"""Fleet-scale columnar dedup benchmark: lazy dedup vs dedup off.
 
 The paper's fleet shape taken to benchmark scale: ONE pipeline evaluated
 at eight link tiers, export-only (``collect=False``) with bounded top-k
-sinks. Both campaigns share the columnar compute fold (the dedup group
-evaluates prefix states once); the contrast is purely the member
-finalize discipline —
+sinks. Two campaigns over the same fleet:
 
-* ``dedup="materialize"`` (the PR-7 path): every member's rows become
-  Python cost objects and report dicts, O(rows x members) allocations;
-* ``dedup=True`` (lazy): one ``finalize_batch_multi`` broadcast closes
-  each shared segment for all eight members at once and consumers
-  materialize only frontier/heap survivors.
+* ``dedup=False``: every member folds its own compute states and its
+  rows become Python cost objects and report dicts, O(rows x members)
+  allocations;
+* ``dedup=True`` (lazy): the group folds prefix states once, one
+  ``finalize_batch_multi`` broadcast closes each shared segment for all
+  eight members at once, and consumers materialize only frontier/heap
+  survivors.
 
-Asserted, not just recorded: >= 5x wall-clock over the materialized
-path, survivor rows byte-identical to a solo ``explore()`` fold for
-every member, and the campaign's own accounting showing
-``rows_materialized`` a small fraction of ``member_rows_closed``. The
-entry appends to ``BENCH_explore.json`` under the gated
-``campaign_fleet_columnar`` kind.
+Asserted, not just recorded: the lazy run at most a fifth of the best
+prior materialized-finalize time in the session-start trajectory (that
+baseline, ``dedup="materialize"``, no longer exists, so the bar anchors
+on its recorded history), survivor rows byte-identical to the dedup-off
+campaign and to a solo ``explore()`` fold for every member, and the
+campaign's own accounting showing ``rows_materialized`` a small
+fraction of ``member_rows_closed``. The entry appends to
+``BENCH_explore.json`` under the ``campaign_fleet_columnar`` kind,
+gated in CI on ``speedup_lazy_vs_off``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 
+import _trajectory
 from repro.core.block import Block, Implementation
 from repro.core.pipeline import InCameraPipeline
 from repro.explore import Campaign, FleetSpec, Scenario, ScenarioCatalog
@@ -41,12 +46,16 @@ TOP_K = 5
 #: screened against a frontier refreshed every 256 rows), which is
 #: where the lazy path's materialization bound comes from.
 CHUNK_SIZE = 256
+#: Lazy campaigns timed; the fastest counts. The lazy bar is an absolute
+#: time (its same-run baseline is gone), so one slow sample on a shared
+#: host must not decide it; every repeat's answers are still checked.
+LAZY_REPEATS = 3
 
 
 def _bench_pipeline() -> InCameraPipeline:
     """A deterministic 9-block, 3-platform chain: 29 524 configurations
     ((3^10 - 1) / 2), big enough that per-row Python object costs
-    dominate the materialized finalize."""
+    dominate the dedup-off run."""
     blocks = []
     for index in range(N_BLOCKS):
         implementations = {
@@ -94,7 +103,9 @@ def _fresh_sinks(fleet) -> dict[str, TopKSink]:
     }
 
 
-def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
+def test_fleet_columnar_lazy_vs_materialized(
+    append_trajectory, publish, trajectory_baseline
+):
     from repro.core.report import TextTable
 
     catalog = ScenarioCatalog()
@@ -120,25 +131,31 @@ def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
 
     n_configs = fleet[0].count_configs()
 
-    lazy_sinks = _fresh_sinks(fleet)
-    begin = time.perf_counter()
-    lazy = Campaign(fleet, name="lazy").run(
-        chunk_size=CHUNK_SIZE, sinks=lazy_sinks, collect=False, dedup=True
-    )
-    lazy_seconds = time.perf_counter() - begin
+    lazy_seconds = float("inf")
+    lazy_answers = set()
+    for _ in range(LAZY_REPEATS):
+        lazy_sinks = _fresh_sinks(fleet)
+        gc.collect()
+        begin = time.perf_counter()
+        lazy = Campaign(fleet, name="lazy").run(
+            chunk_size=CHUNK_SIZE, sinks=lazy_sinks, collect=False, dedup=True
+        )
+        lazy_seconds = min(lazy_seconds, time.perf_counter() - begin)
+        lazy_answers.add(
+            json.dumps({name: sink.top_k() for name, sink in lazy_sinks.items()})
+        )
+    assert len(lazy_answers) == 1
 
-    materialized_sinks = _fresh_sinks(fleet)
+    off_sinks = _fresh_sinks(fleet)
+    gc.collect()
     begin = time.perf_counter()
-    materialized = Campaign(fleet, name="materialized").run(
-        chunk_size=CHUNK_SIZE,
-        sinks=materialized_sinks,
-        collect=False,
-        dedup="materialize",
+    off = Campaign(fleet, name="off").run(
+        chunk_size=CHUNK_SIZE, sinks=off_sinks, collect=False, dedup=False
     )
-    materialized_seconds = time.perf_counter() - begin
+    off_seconds = time.perf_counter() - begin
 
-    # Survivors byte-identical: to the materialized campaign AND to a
-    # solo explore() fold of the same sink, for every member.
+    # Survivors byte-identical: to the dedup-off campaign AND to a solo
+    # explore() fold of the same sink, for every member.
     for scenario in fleet:
         solo_sink = TopKSink("total_energy_j", k=TOP_K, maximize=False)
         explore(scenario, sink=solo_sink, collect=False)
@@ -146,10 +163,10 @@ def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
         assert json.dumps(lazy_sinks[scenario.name].top_k()) == reference, (
             scenario.name
         )
-        assert (
-            json.dumps(materialized_sinks[scenario.name].top_k()) == reference
-        ), scenario.name
-    for lean, full in zip(lazy, materialized):
+        assert json.dumps(off_sinks[scenario.name].top_k()) == reference, (
+            scenario.name
+        )
+    for lean, full in zip(lazy, off):
         assert lean.best == full.best, lean.name
         assert lean.pareto() == full.pareto(), lean.name
 
@@ -164,15 +181,21 @@ def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
         group_stats
     )
 
-    speedup = materialized_seconds / lazy_seconds
+    speedup = off_seconds / lazy_seconds
     # Acceptance: the one-fold broadcast finalize plus lazy views must
-    # beat per-member materialization by >= 5x on this fleet.
-    assert speedup >= 5.0, (lazy_seconds, materialized_seconds)
+    # take at most a fifth of the best prior per-member materialized
+    # finalize on this fleet.
+    bar = _trajectory.fleet_lazy_seconds_bar(trajectory_baseline)
+    if bar is not None:
+        assert lazy_seconds <= bar, (
+            f"lazy dedup took {lazy_seconds:.3f}s, above a fifth of the best "
+            f"prior materialized finalize ({bar * 5:.3f}s)"
+        )
 
     table = TextTable(
         ["fleet", "links", "configs", "rows_closed", "rows_materialized",
-         "lazy_seconds", "materialized_seconds", "speedup"],
-        title="fleet-scale columnar dedup: lazy vs materialized finalize",
+         "lazy_seconds", "off_seconds", "speedup"],
+        title="fleet-scale columnar dedup: lazy dedup vs dedup off",
     )
     table.add_row(
         {
@@ -182,7 +205,7 @@ def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
             "rows_closed": group_stats["member_rows_closed"],
             "rows_materialized": group_stats["rows_materialized"],
             "lazy_seconds": round(lazy_seconds, 4),
-            "materialized_seconds": round(materialized_seconds, 4),
+            "off_seconds": round(off_seconds, 4),
             "speedup": round(speedup, 2),
         }
     )
@@ -196,7 +219,7 @@ def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
             "member_rows_closed": group_stats["member_rows_closed"],
             "rows_materialized": group_stats["rows_materialized"],
             "seconds_lazy": round(lazy_seconds, 6),
-            "seconds_materialize": round(materialized_seconds, 6),
-            "speedup_lazy_vs_materialize": round(speedup, 2),
+            "seconds_off": round(off_seconds, 6),
+            "speedup_lazy_vs_off": round(speedup, 2),
         }
     )

@@ -107,8 +107,8 @@ def main() -> None:
     # scenario rides (batch-cohort on the stock models serial,
     # batch-cohort-pruned when lower-bound pruning fuses into the
     # columnar walk, batch-shard when a parallel executor ships flat
-    # index ranges instead of pickled configs, scalar-* when a custom
-    # model forces the fallback).
+    # index ranges instead of pickled configs, scalar-scratch when a
+    # custom model is costed through its own evaluate()).
     pool = SweepExecutor(workers=4, backend="thread")
     pruned = replace(
         fleet[1], name="vr-fig10-pruned", auto_prune=True, auto_prune_configs=True

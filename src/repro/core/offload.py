@@ -125,10 +125,11 @@ class OffloadAnalyzer:
                 scenario, executor=self.executor, sink=sink
             ).as_offload_report()
         # Explicit config sequences (lists or generators, as before)
-        # stream through the same prefix-memoized chunk evaluation as
-        # the scenario path (models that override evaluate() fall back
-        # to per-config calls automatically); sink rows are written
-        # chunk by chunk as evaluation completes, exactly like explore().
+        # stream through the same columnar chunk fold as the scenario
+        # path (models without stock cost semantics fall back to
+        # per-config evaluate() calls automatically); sink rows are
+        # written chunk by chunk as evaluation completes, exactly like
+        # explore().
         sink = resolve_sink(sink)
         configs = list(configs)
         chunks = iter_evaluation_chunks(

@@ -16,14 +16,12 @@ turns that exercise into one reusable engine:
   Pareto-frontier extraction, dominated-config elimination, top-k
   ranking, CSV/JSON export, and adapters back to the legacy
   ``SweepResult`` / ``OffloadReport`` types;
-* :mod:`.incremental` — :class:`PrefixEvaluator`, prefix-memoized
-  evaluation turning per-config cost from O(depth) into amortized O(1)
-  block extensions (bit-identical to from-scratch evaluation);
-* :mod:`.vectorized` — :class:`BatchPrefixEvaluator`, the columnar
-  batch core: depth cohorts fold as numpy struct-of-arrays states with
-  lazily materialized rows (bit-identical to the scalar fold), plus
-  :class:`PrefixStateCache`, trie-keyed partial prefix dedup across a
-  fleet's scenarios;
+* :mod:`.vectorized` — :class:`BatchPrefixEvaluator`, the engine's one
+  memoized walk: depth cohorts fold as numpy struct-of-arrays states
+  with lazily materialized rows (bit-identical to from-scratch
+  evaluation), plus :class:`PrefixStateCache`, trie-keyed partial
+  prefix dedup across a fleet's scenarios; :mod:`.incremental` holds
+  the chunk entry points process pools call;
 * :mod:`.prune` — sound lower-bound pruning derived from a scenario's
   constraint: whole depths (``Scenario(..., auto_prune=True)``) and
   per-config subtrees within surviving depths
@@ -73,7 +71,6 @@ from repro.explore.campaign import (
     CampaignResult,
     PipelineCostCache,
     ScenarioRun,
-    run_campaign,
     scenario_compute_key,
 )
 from repro.explore.scheduling import (
@@ -106,11 +103,9 @@ from repro.explore.joint import (
     search_joint_assignment,
 )
 from repro.explore.engine import (
-    EVALUATION_MODES,
     evaluation_path,
     explore,
     explore_brute_force,
-    iter_evaluations,
 )
 from repro.explore.enumerate import (
     PRUNED_SUBTREE,
@@ -122,15 +117,13 @@ from repro.explore.enumerate import (
     iter_configs,
 )
 from repro.explore.executor import SweepExecutor
-from repro.explore.incremental import PrefixEvaluator, supports_prefix_evaluation
+from repro.explore.incremental import uses_stock_batch_semantics
 from repro.explore.vectorized import (
     BatchPrefixEvaluator,
     BatchRows,
     CohortShard,
     PrefixStateCache,
     iter_scenario_shards,
-    supports_batch_evaluation,
-    uses_stock_batch_semantics,
 )
 from repro.explore.prune import (
     compute_fps_prefix_pruner,
@@ -173,7 +166,6 @@ __all__ = [
     "CsvSink",
     "DOMAINS",
     "DepthPruneHook",
-    "EVALUATION_MODES",
     "ExplorationResult",
     "FleetSpec",
     "JointCandidate",
@@ -187,7 +179,6 @@ __all__ = [
     "ParetoFrontier",
     "ParetoSink",
     "PipelineCostCache",
-    "PrefixEvaluator",
     "PrefixPruner",
     "PrefixStateCache",
     "PriorityWeighted",
@@ -216,7 +207,6 @@ __all__ = [
     "explore_brute_force",
     "explore_joint",
     "iter_configs",
-    "iter_evaluations",
     "iter_scenario_shards",
     "joint_candidates",
     "load_builtin",
@@ -225,13 +215,10 @@ __all__ = [
     "pareto_filter",
     "register_scenario",
     "resolve_policy",
-    "run_campaign",
     "scenario_compute_key",
     "search_joint_assignment",
     "shared_capacity_prefix_pruner",
     "shared_capacity_suffix_bounds",
-    "supports_batch_evaluation",
-    "supports_prefix_evaluation",
     "throughput_depth_bounds",
     "uses_stock_batch_semantics",
 ]

@@ -24,21 +24,17 @@ replays exactly the solo evaluation's float operations, per-scenario
 results stay byte-identical to ``dedup=False`` and to solo
 ``explore()`` — the invariant suite asserts it over seeded random
 fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
-By default the group finalize is *columnar and lazy* end to end: each
-shared :class:`~repro.explore.vectorized.BatchChunkStates` segment is
-closed for all members at once by one ``finalize_batch_multi``
-broadcast (an ``(n_members, n_rows)`` sweep of the member link terms)
-and members hand their consumers lazy member-tagged
+The group finalize is *columnar and lazy* end to end: each shared
+:class:`~repro.explore.vectorized.BatchChunkStates` segment is closed
+for all members at once by one ``finalize_batch_multi`` broadcast (an
+``(n_members, n_rows)`` sweep of the member link terms) and members
+hand their consumers lazy member-tagged
 :class:`~repro.explore.vectorized.BatchRows` views — under
 ``collect=False`` with columnar sinks a fleet of N links materializes
-only frontier/heap survivors, never N x rows Python objects
-(``dedup="materialize"`` keeps the per-member materialized finalize
-for comparison). Scalar state payloads (non-batch models, numpy-less
-installs) fall back to the per-member scalar finalize transparently.
+only frontier/heap survivors, never N x rows Python objects.
 
-Sharding contract: on a parallel executor, shard-eligible scenarios
-(stock batch semantics with a batch-capable — or absent — pruner)
-stream compact :class:`~repro.explore.vectorized.CohortShard`
+Sharding contract: on a parallel executor, scenarios with stock cost
+semantics stream compact :class:`~repro.explore.vectorized.CohortShard`
 descriptors through the interleaver instead of materialized config
 lists; workers regenerate each chunk's rows locally from the flat
 index ranges (O(depth) array rebuilds), so a process pool pickles a
@@ -53,9 +49,12 @@ consumed, chunk submission pauses (the pool drains its in-flight window
 and genuinely idles) until the consumer pulls the next run.
 
 Correctness contract: chunks are tagged with their scenario and each is
-evaluated by a chunk-local
-:class:`~repro.explore.incremental.PrefixEvaluator` (memoization never
-crosses scenarios), and ``imap`` returns results in submission order —
+folded by a chunk-local columnar evaluator
+(:func:`~repro.explore.incremental.evaluate_chunk`; only the optional
+fleet-shared prefix cache, whose states are link-independent and
+fingerprint-keyed, crosses scenarios), or costed per configuration
+through the model's own ``evaluate()`` for models without stock cost
+semantics, and ``imap`` returns results in submission order —
 so each scenario's evaluations land in its own enumeration order and
 are byte-identical to a solo ``explore()`` of the same scenario,
 regardless of worker count or how the fleet was interleaved (tests
@@ -89,20 +88,17 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
-try:  # numpy backs the lazy dedup folds; everything else is scalar-safe
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as np
 
 from repro.core.cost import platform_axis_fingerprint
 from repro.core.report import TextTable, campaign_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore.engine import (
     DEFAULT_CHUNK_SIZE,
+    _check_dedup,
     _chunked,
     _evaluate_scratch,
     _gc_paused,
-    _shard_eligible,
 )
 from repro.explore.executor import (
     SweepExecutor,
@@ -113,7 +109,7 @@ from repro.explore.incremental import (
     depth_link_cost,
     evaluate_chunk,
     evaluate_chunk_states,
-    supports_prefix_evaluation,
+    uses_stock_batch_semantics,
 )
 from repro.explore.result import (
     DEFAULT_AXES,
@@ -127,7 +123,6 @@ from repro.explore.vectorized import (
     BatchChunkStates,
     BatchRows,
     PrefixStateCache,
-    _materialize_costs,
     iter_scenario_shards,
 )
 
@@ -156,10 +151,11 @@ from repro.explore.sink import (
 
 # -- chunk plumbing -----------------------------------------------------
 
-#: Chunk evaluation modes carried in a tagged chunk's spec: the stock
-#: prefix-memoized path, the from-scratch fallback for models overriding
-#: evaluate(), and the dedup path that returns pre-finalize states for
-#: the collector to close under each member scenario's own link.
+#: Chunk evaluation modes carried in a tagged chunk's spec: the columnar
+#: memoized fold for stock cost models, the per-config evaluate() path
+#: for every other model, and the dedup path that returns pre-finalize
+#: states for the collector to close under each member scenario's own
+#: link.
 _MODE_MEMOIZED = "memoized"
 _MODE_SCRATCH = "scratch"
 _MODE_STATES = "states"
@@ -243,17 +239,16 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
 
 
 class _StateFinalizer:
-    """Close shared compute-side prefix states under one scenario's own
-    per-depth link terms.
+    """One dedup member's side of the group finalize: its scenario,
+    stock cost model, and per-depth link terms.
 
-    Delegates to the *stock* ``model.finalize`` (the definition the
-    memoized walks are tested bit-identical against) with the link term
-    from the one shared :func:`~repro.explore.incremental.
-    depth_link_cost` definition — so a state evaluated once for a dedup
-    group and finalized here is bit-identical to evaluating the
-    configuration solo against this scenario's link (the invariant
-    suite compares them byte for byte), and a future cost-field change
-    lands here automatically instead of in a third hand-inlined copy.
+    The link term comes from the one shared
+    :func:`~repro.explore.incremental.depth_link_cost` definition, and
+    :meth:`PipelineCostCache.finalize_group` closes shared states with
+    the stock ``finalize_batch_multi`` kernel — so a state evaluated
+    once for a dedup group and finalized for this member is
+    bit-identical to evaluating the configuration solo against this
+    scenario's link (the invariant suite compares them byte for byte).
     """
 
     def __init__(self, scenario: Scenario):
@@ -270,34 +265,6 @@ class _StateFinalizer:
             self._model.link, self._energy, self._link_costs, depth, config
         )
 
-    def finalize(self, payload: Any) -> list[Any]:
-        model = self._model
-        link, energy, cache = model.link, self._energy, self._link_costs
-        if isinstance(payload, BatchChunkStates):
-            # Columnar leader states: close each same-depth run with one
-            # finalize_batch call and materialize through the same field
-            # definitions the batch evaluator uses — bit-identical to
-            # finalizing each (config, state) pair through the scalar
-            # ``finalize`` below.
-            out: list[Any] = []
-            for configs, depth, state, _choices, _names in payload.segments:
-                link_cost = depth_link_cost(link, energy, cache, depth, configs[0])
-                out.extend(
-                    _materialize_costs(
-                        configs, model.finalize_batch(state, link_cost), energy
-                    )
-                )
-            return out
-        finalize = model.finalize
-        out = []
-        append_out = out.append
-        for config, state in payload:
-            link_cost = depth_link_cost(
-                link, energy, cache, len(config.platforms), config
-            )
-            append_out(finalize(state, config, link_cost))
-        return out
-
 
 class PipelineCostCache:
     """Campaign-level cross-scenario evaluation dedup.
@@ -310,8 +277,8 @@ class PipelineCostCache:
     group's *leader* (first in fleet order) evaluates its chunks into
     pre-finalize states (:func:`~repro.explore.incremental.
     evaluate_chunk_states`), and every member — leader and followers —
-    gets the states closed under its own link terms by a
-    :class:`_StateFinalizer`. Followers never enter the interleaver:
+    gets the states closed under its own link terms by
+    :meth:`finalize_group`. Followers never enter the interleaver:
     their chunks mirror the leader's the moment each leader chunk
     lands, preserving streaming, per-scenario enumeration order, sinks
     and export-only mode unchanged.
@@ -350,13 +317,6 @@ class PipelineCostCache:
     def members_of(self, leader: int) -> tuple[int, ...]:
         """The group's member indices, leader first, in fleet order."""
         return (leader, *self.followers_of.get(leader, ()))
-
-    def finalize(self, index: int, payload: Any) -> list[Any]:
-        """Scenario ``index``'s costs for one shared chunk of states —
-        scalar (config, state) pairs or a columnar
-        :class:`~repro.explore.vectorized.BatchChunkStates` — fully
-        materialized (the ``dedup="materialize"`` path)."""
-        return self._finalizers[index].finalize(payload)
 
     def finalize_group(
         self, leader: int, payload: BatchChunkStates
@@ -505,8 +465,7 @@ class ScenarioRun:
     turned into Python objects for this scenario (collected runs
     materialize everything; export-only runs only the best row, the
     frontier's survivors and heap candidates) — None when the rows
-    never rode the lazy path (no dedup, a scalar fallback, or
-    ``dedup="materialize"``).
+    never rode the lazy path (no dedup, or no dedup group).
     """
 
     scenario: Scenario
@@ -583,7 +542,7 @@ class CampaignResult:
         runs: list[ScenarioRun],
         wall_seconds: float,
         policy: str = RoundRobin.name,
-        dedup: bool | str = False,
+        dedup: bool = False,
         prefix_cache_stats: dict[str, Any] | None = None,
     ):
         self.name = name
@@ -623,8 +582,7 @@ class CampaignResult:
         is a work counter, not a distinct-row count; under
         ``collect=False`` with columnar sinks this is roughly the
         survivors, the lazy win — fully-materialized members, e.g.
-        under ``dedup="materialize"`` or collected runs, count every
-        closed row).
+        collected runs, count every closed row).
         """
         shared = [run for run in self.runs if run.dedup_source is not None]
         by_name = {run.name: run for run in self.runs}
@@ -781,11 +739,8 @@ class _StreamingStats:
         running best — and NaN metric values never improve on a non-NaN
         best (every comparison against NaN is False), matching the
         scalar scan branch for branch. Falls back to the row path when
-        numpy is unavailable or the metric is not columnar.
+        the metric is not columnar.
         """
-        if _np is None:
-            self.update(batch.rows())
-            return
         try:
             values = batch.metric_column(self._metric)
             feasible = batch.metric_column("feasible")
@@ -805,19 +760,19 @@ class _StreamingStats:
                 winner = 0
             else:
                 winner = int(
-                    _np.nanargmax(values) if maximize else _np.nanargmin(values)
+                    np.nanargmax(values) if maximize else np.nanargmin(values)
                 )
         else:
             current = self.best[self._metric]
             improved = (values > current) if maximize else (values < current)
-            if bool(_np.any(improved)):
+            if bool(np.any(improved)):
                 winner = int(
-                    _np.nanargmax(values) if maximize else _np.nanargmin(values)
+                    np.nanargmax(values) if maximize else np.nanargmin(values)
                 )
         if winner is not None:
             self.best = batch.row(winner)
         self.n_evaluated += n
-        self.n_feasible += int(_np.count_nonzero(feasible))
+        self.n_feasible += int(np.count_nonzero(feasible))
         if self.frontier is not None:
             self.frontier.add_batch(batch)
 
@@ -887,7 +842,7 @@ class Campaign:
         collect: bool = True,
         collect_on_exit: bool = False,
         policy: Any = None,
-        dedup: bool | str = False,
+        dedup: bool = False,
         max_pending_runs: int | None = None,
         frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
@@ -918,11 +873,7 @@ class Campaign:
         pacing changes.
         """
         executor = resolve_executor(executor)
-        if dedup not in (False, True, "lazy", "materialize"):
-            raise ConfigurationError(
-                "dedup must be False, True, 'lazy' or 'materialize', "
-                f"got {dedup!r}"
-            )
+        _check_dedup(dedup)
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_pending_runs is not None and max_pending_runs < 1:
@@ -957,7 +908,6 @@ class Campaign:
             policy,
             PipelineCostCache(scenarios) if dedup else None,
             max_pending_runs,
-            dedup != "materialize",
             frontier,
         )
 
@@ -971,7 +921,6 @@ class Campaign:
         policy: SchedulingPolicy,
         cache: PipelineCostCache | None,
         max_pending_runs: int | None,
-        dedup_lazy: bool = True,
         track_frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
         """The generator behind :meth:`iter_runs` (argument validation
@@ -997,7 +946,7 @@ class Campaign:
         for index, (model, scenario) in enumerate(zip(models, scenarios)):
             if cache is not None and cache.is_shared_leader(index):
                 mode = _MODE_STATES
-            elif supports_prefix_evaluation(model):
+            elif uses_stock_batch_semantics(model):
                 mode = _MODE_MEMOIZED
             else:
                 mode = _MODE_SCRATCH
@@ -1014,16 +963,12 @@ class Campaign:
             self._chunk_size_for(scenario, executor, chunk_size)
             for scenario in scenarios
         ]
-        # Cohort sharding on parallel executors: shard-eligible
-        # scenarios (stock batch semantics, batch-capable pruner) ship
-        # compact (depth, flat-index-range) descriptors instead of
+        # Cohort sharding on parallel executors: every columnar scenario
+        # ships compact (depth, flat-index-range) descriptors instead of
         # pickled config lists; workers rebuild the rows locally.
-        # Scratch-mode scenarios carry a custom model and are never
-        # shard-eligible, but guard anyway so the pairing is explicit.
         shard_flags = [
-            specs[index][2] != _MODE_SCRATCH
-            and _shard_eligible(scenarios[index], models[index], executor, "auto")
-            for index in range(len(scenarios))
+            not executor.is_serial and mode != _MODE_SCRATCH
+            for _, _, mode, _ in specs
         ]
         # Same pause rule as solo explore(): engine-only allocations
         # (the dedup states and finalized costs are engine-owned and
@@ -1050,11 +995,11 @@ class Campaign:
             for scenario in scenarios
         ]
         # Per-scenario lazy-materialization accounting: None where rows
-        # were never lazily closed (no dedup, or the materialize mode);
-        # dedup group members under the lazy path count the rows their
-        # consumers actually turned into Python objects.
+        # were never lazily closed (no dedup group); dedup group members
+        # count the rows their consumers actually turned into Python
+        # objects.
         materialized: list[int | None] = [None] * len(scenarios)
-        if cache is not None and dedup_lazy:
+        if cache is not None:
             for leader in cache.followers_of:
                 for member in cache.members_of(leader):
                     materialized[member] = 0
@@ -1197,24 +1142,14 @@ class Campaign:
                     # one evaluation pass serves the whole group, and
                     # each follower's chunk lands (same boundaries, same
                     # enumeration order) the moment the leader's does.
-                    # Columnar states close lazily (one broadcast per
-                    # segment for the whole group, survivors-only
-                    # materialization); scalar states — and the
-                    # "materialize" opt-out — keep the per-member
-                    # materialized finalize.
-                    if dedup_lazy and isinstance(payload, BatchChunkStates):
-                        group = cache.finalize_group(index, payload)
-                        for member, batches in zip(
-                            cache.members_of(index), group
-                        ):
-                            if member != index:
-                                progress.emitted[member] += 1
-                            _absorb_batches(member, batches, now)
-                    else:
-                        _absorb(index, cache.finalize(index, payload), now)
-                        for follower in cache.followers_of[index]:
-                            progress.emitted[follower] += 1
-                            _absorb(follower, cache.finalize(follower, payload), now)
+                    # The states close lazily: one broadcast per segment
+                    # for the whole group, survivors-only
+                    # materialization.
+                    group = cache.finalize_group(index, payload)
+                    for member, batches in zip(cache.members_of(index), group):
+                        if member != index:
+                            progress.emitted[member] += 1
+                        _absorb_batches(member, batches, now)
                 else:
                     _absorb(index, payload, now)
                 _sync_followers()
@@ -1335,7 +1270,7 @@ class Campaign:
         collect: bool = True,
         collect_on_exit: bool = False,
         policy: Any = None,
-        dedup: bool | str = False,
+        dedup: bool = False,
         frontier: bool = True,
     ) -> CampaignResult:
         """Explore every scenario through one shared executor.
@@ -1381,14 +1316,13 @@ class Campaign:
             terms — per-scenario results stay byte-identical to a
             ``dedup=False`` run (and to solo ``explore()``), asserted
             by the invariant suite. :attr:`CampaignResult.cache_stats`
-            reports the evaluations skipped. ``True`` (alias
-            ``"lazy"``) closes columnar leader states for the whole
-            group in one multi-link broadcast per segment and hands
-            members lazy :class:`~repro.explore.vectorized.BatchRows`
-            views — under ``collect=False`` only survivors
-            materialize; ``"materialize"`` keeps the per-member
-            materialized finalize (identical values, O(rows x members)
-            Python objects) — the lazy path's benchmark baseline.
+            reports the evaluations skipped. Leader states close for
+            the whole group in one multi-link broadcast per segment and
+            members receive lazy
+            :class:`~repro.explore.vectorized.BatchRows` views — under
+            ``collect=False`` only survivors materialize. A bool:
+            anything else raises
+            :class:`~repro.errors.ConfigurationError`.
         frontier:
             ``False`` skips the online Pareto frontier on export-only
             runs (it is O(rows x frontier size) — dominating the whole
@@ -1490,26 +1424,3 @@ class Campaign:
             n_materialized=n_materialized,
         )
 
-
-def run_campaign(
-    scenarios: Sequence[Scenario],
-    executor: SweepExecutor | None = None,
-    chunk_size: int | None = None,
-    *,
-    name: str = "campaign",
-    sinks: Any = None,
-    collect: bool = True,
-    collect_on_exit: bool = False,
-    policy: Any = None,
-    dedup: bool | str = False,
-) -> CampaignResult:
-    """One-call convenience: ``Campaign(scenarios, name).run(...)``."""
-    return Campaign(scenarios, name=name).run(
-        executor,
-        chunk_size,
-        sinks=sinks,
-        collect=collect,
-        collect_on_exit=collect_on_exit,
-        policy=policy,
-        dedup=dedup,
-    )

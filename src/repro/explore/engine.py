@@ -9,24 +9,33 @@ and returns an :class:`~repro.explore.result.ExplorationResult`. Row
 order is the enumeration order regardless of worker count, so parallel
 and serial runs are interchangeable.
 
-The path is streaming end-to-end: configurations flow from the
-enumerator into fixed-size chunks, each chunk is evaluated with a
-chunk-local :class:`~repro.explore.incremental.PrefixEvaluator`
-(amortized O(1) block extensions per configuration instead of
-O(depth)), and chunks travel through the executor's ``imap`` with a
-bounded in-flight window — nothing ever materializes the full
-configuration list, so peak intermediate memory is set by the chunk
-size, not the design-space size. For stock-model, unhooked runs (every
-allocation the engine's own, all acyclic) the cyclic GC is paused while
-results accumulate: bulk-appending millions of small cost objects
-otherwise triggers quadratically many full collections over the growing
-result. Runs involving user code (custom models, per-config prune
-hooks) keep the GC live so user cycles stay collectable.
+There is one memoized walk, the columnar fold of
+:mod:`repro.explore.vectorized`, and every model with stock cost
+semantics takes it: whole depth cohorts with lazily materialized rows
+on a serial executor (``batch-cohort``, or ``batch-cohort-pruned`` with
+the scenario's pruning fused in), compact
+:class:`~repro.explore.vectorized.CohortShard` descriptors that pool
+workers decode and fold locally (``batch-shard``), and — inside a
+``Campaign.run(dedup=True)`` — group-shared states closed under each
+member's link (``batch-dedup``). A model that customizes any cost step
+is costed per configuration through its own ``evaluate()``
+(``scalar-scratch``). :func:`evaluation_path` reports which of these
+five paths a call takes.
+
+The path is streaming end-to-end: nothing ever materializes the full
+configuration list, and evaluated chunks travel through the executor's
+``imap`` with a bounded in-flight window, so peak intermediate memory
+is set by the chunk size, not the design-space size. For stock-model,
+unhooked runs (every allocation the engine's own, all acyclic) the
+cyclic GC is paused while results accumulate: bulk-appending millions
+of small cost objects otherwise triggers quadratically many full
+collections over the growing result. Runs involving user code (custom
+models, per-config prune hooks, sinks) keep the GC live so user cycles
+stay collectable.
 
 ``explore_brute_force()`` keeps the pre-streaming semantics — eager
 enumeration, from-scratch per-config evaluation, eager rows — as the
-correctness oracle and benchmark baseline the memoized path is compared
-against, byte for byte.
+one scalar oracle the columnar walk is compared against, byte for byte.
 """
 
 from __future__ import annotations
@@ -47,9 +56,9 @@ from repro.explore.executor import (
     resolve_executor,
 )
 from repro.explore.incremental import (
-    PrefixEvaluator,
     evaluate_chunk,
-    supports_prefix_evaluation,
+    uses_stock_batch_semantics,
+    uses_stock_cost_semantics,
 )
 from repro.explore.result import ExplorationResult, cost_row
 from repro.explore.scenario import Scenario
@@ -59,22 +68,11 @@ from repro.explore.sink import (
     uses_columnar_writes,
     write_sink_batch,
 )
-from repro.explore.vectorized import (
-    BatchPrefixEvaluator,
-    iter_scenario_shards,
-    supports_batch_evaluation,
-    uses_stock_batch_semantics,
-)
-
-#: Valid values of the ``evaluation=`` knob on :func:`explore` and
-#: :func:`iter_evaluation_chunks`: ``"auto"`` picks the fastest
-#: applicable path, ``"batch"`` requires the columnar path (raising for
-#: models that cannot take it), ``"scalar"`` forces the scalar fold.
-EVALUATION_MODES = ("auto", "batch", "scalar")
+from repro.explore.vectorized import BatchPrefixEvaluator, iter_scenario_shards
 
 #: Configurations per streamed chunk when neither the caller nor the
-#: executor pins one. Large enough to amortize chunk setup (one cold
-#: prefix walk per chunk) to noise, small enough that the in-flight
+#: executor pins one. Large enough to amortize chunk setup (one fold
+#: from the root per chunk) to noise, small enough that the in-flight
 #: window stays a few thousand configurations.
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -112,8 +110,8 @@ def _evaluate_scratch(
     model: Any, pass_rates: dict[str, float] | None, config: PipelineConfig
 ) -> Any:
     """From-scratch single-config evaluation (module-level for
-    process-pool picklability); the fallback for models that override
-    ``evaluate()`` and are therefore ineligible for prefix memoization."""
+    process-pool picklability): the ``scalar-scratch`` path for models
+    without stock cost semantics."""
     if isinstance(model, EnergyCostModel):
         return model.evaluate(config, pass_rates)
     return model.evaluate(config)
@@ -127,21 +125,12 @@ def _chunked(iterator: Iterator[Any], size: int) -> Iterator[list[Any]]:
         yield chunk
 
 
-def _check_evaluation_mode(evaluation: str, model: Any) -> None:
-    """Validate the ``evaluation=`` knob (shared by the entry points)."""
-    if evaluation not in EVALUATION_MODES:
-        raise ConfigurationError(
-            f"evaluation must be one of {EVALUATION_MODES}, got {evaluation!r}"
-        )
-    if evaluation == "batch" and not supports_batch_evaluation(model):
-        raise ConfigurationError(
-            "evaluation='batch' requires a batch-capable cost model "
-            "(stock evaluate() and matched scalar/batch cost steps, with "
-            "numpy importable) — none of the columnar paths (batch-cohort, "
-            "batch-cohort-pruned, batch-shard, batch-chunk) can run this "
-            "model; use evaluation='auto' to fall back to the scalar "
-            "paths (scalar-memoized / scalar-scratch)"
-        )
+def _check_dedup(dedup: Any) -> None:
+    """Validate a ``dedup=`` argument. Only a real bool is accepted: a
+    truthiness check would silently read any other value (a stale mode
+    string, say) as ``True``."""
+    if not isinstance(dedup, bool):
+        raise ConfigurationError(f"dedup must be True or False, got {dedup!r}")
 
 
 def iter_evaluation_chunks(
@@ -151,7 +140,6 @@ def iter_evaluation_chunks(
     pass_rates: dict[str, float] | None = None,
     chunk_size: int | None = None,
     approx_total: int | None = None,
-    evaluation: str = "auto",
     scenario: Scenario | None = None,
 ) -> Iterator[list[Any]]:
     """Stream cost objects for a configuration iterable, as ordered
@@ -159,14 +147,12 @@ def iter_evaluation_chunks(
 
     The shared evaluation pipe under :func:`explore` and the
     ``core.offload`` facade: configurations are consumed lazily in
-    chunks, each chunk evaluated columnar-batch when the model supports
-    it (prefix-memoized otherwise, from scratch for models that
-    override ``evaluate()``), chunks flow through the executor's
-    bounded-window ``imap``. ``approx_total`` (when known) sizes chunks
-    for parallel executors the way ``map`` would — about four chunks
-    per worker — so small spaces still spread across workers.
-    ``evaluation`` picks the path (see :data:`EVALUATION_MODES`); all
-    paths produce bit-identical costs.
+    chunks, each chunk folded columnar when the model has stock cost
+    semantics (per-config ``evaluate()`` otherwise), and chunks flow
+    through the executor's bounded-window ``imap``. ``approx_total``
+    (when known) sizes chunks for parallel executors the way ``map``
+    would — about four chunks per worker — so small spaces still spread
+    across workers.
 
     ``scenario`` (when given) enables the shard mode on parallel
     executors with stock-semantics models: instead of pickling config
@@ -177,7 +163,6 @@ def iter_evaluation_chunks(
     values).
     """
     executor = resolve_executor(executor)
-    _check_evaluation_mode(evaluation, model)
     if chunk_size is not None and chunk_size < 1:
         # islice(iterator, 0) would silently end the stream after zero
         # configurations; mirror SweepExecutor's field validation.
@@ -188,45 +173,21 @@ def iter_evaluation_chunks(
             size = auto_chunk_size(approx_total, executor.workers, DEFAULT_CHUNK_SIZE)
         else:
             size = DEFAULT_CHUNK_SIZE
-    allow_batch = evaluation != "scalar"
-    if scenario is not None and _shard_eligible(scenario, model, executor, evaluation):
-        chunk_fn = partial(evaluate_chunk, model, pass_rates, allow_batch=allow_batch)
+    if not uses_stock_batch_semantics(model):
+        scratch = partial(_evaluate_scratch, model, pass_rates)
+        chunk_fn = partial(_run_scratch_chunk, scratch)
+        return executor.imap(chunk_fn, _chunked(iter(configs), size), chunk_size=1)
+    chunk_fn = partial(evaluate_chunk, model, pass_rates)
+    if scenario is not None and not executor.is_serial:
         shards = iter_scenario_shards(scenario, size)
         return executor.imap(chunk_fn, shards, chunk_size=1)
     chunks = _chunked(iter(configs), size)
-    if executor.is_serial and supports_prefix_evaluation(model):
-        # Serial fast path: one evaluator spans the whole stream (no
-        # per-chunk cold restarts, no pool plumbing). Values are
-        # identical to the chunk-local path — memoization only reuses
-        # states a from-scratch walk would recompute bit-for-bit, and
-        # the columnar fold performs the same operations elementwise.
-        if allow_batch and supports_batch_evaluation(model):
-            batch_evaluator = BatchPrefixEvaluator(model, pass_rates)
-            return (batch_evaluator.evaluate_many(chunk) for chunk in chunks)
-        evaluator = PrefixEvaluator(model, pass_rates)
+    if executor.is_serial:
+        # One evaluator spans the whole stream: its per-pipeline plans
+        # and link terms are reused, and there is no pool plumbing.
+        evaluator = BatchPrefixEvaluator(model, pass_rates)
         return (evaluator.evaluate_many(chunk) for chunk in chunks)
-    if supports_prefix_evaluation(model):
-        chunk_fn = partial(evaluate_chunk, model, pass_rates, allow_batch=allow_batch)
-    else:
-        scratch = partial(_evaluate_scratch, model, pass_rates)
-        chunk_fn = partial(_run_scratch_chunk, scratch)
     return executor.imap(chunk_fn, chunks, chunk_size=1)
-
-
-def iter_evaluations(
-    model: Any,
-    configs: Iterator[PipelineConfig],
-    executor: SweepExecutor | None = None,
-    pass_rates: dict[str, float] | None = None,
-    chunk_size: int | None = None,
-    approx_total: int | None = None,
-) -> Iterator[Any]:
-    """Flattened :func:`iter_evaluation_chunks`: one cost per config,
-    in configuration order."""
-    for costs in iter_evaluation_chunks(
-        model, configs, executor, pass_rates, chunk_size, approx_total
-    ):
-        yield from costs
 
 
 def _run_scratch_chunk(evaluate: Any, configs: list[PipelineConfig]) -> list[Any]:
@@ -237,10 +198,11 @@ def _run_scratch_chunk(evaluate: Any, configs: list[PipelineConfig]) -> list[Any
 def evaluation_path(
     scenario: Scenario,
     executor: SweepExecutor | None = None,
-    evaluation: str = "auto",
-    dedup: bool | str = False,
+    *,
+    dedup: bool = False,
 ) -> str:
-    """The evaluation path :func:`explore` would take for this call:
+    """The evaluation path :func:`explore` would take for this call —
+    exactly one of five values:
 
     - ``"batch-cohort"`` — serial, whole depth cohorts as columnar
       arrays with lazily materialized rows;
@@ -250,96 +212,34 @@ def evaluation_path(
     - ``"batch-shard"`` — parallel, workers receive compact
       :class:`~repro.explore.vectorized.CohortShard` descriptors and
       regenerate state columns locally (nothing per-row is pickled);
-    - ``"batch-chunk"`` — columnar folds per pickled config chunk (the
-      parallel fallback for batch-capable models off the stock shapes);
-    - ``"scalar-memoized"`` — the scalar prefix walk;
+    - ``"batch-dedup"`` — with ``dedup=True``, the path the scenario
+      takes *inside* a ``Campaign.run(dedup=True)`` when it is
+      campaign-dedupable (it has a
+      :func:`~repro.explore.campaign.scenario_compute_key`): group
+      members close shared columnar states under a multi-link broadcast
+      finalize and hand consumers lazy
+      :class:`~repro.explore.vectorized.BatchRows` views. A scenario
+      without a compute key takes the solo paths;
     - ``"scalar-scratch"`` — per-config ``evaluate()`` for models that
-      override it.
+      customize any cost step.
 
-    Pass the campaign's ``dedup`` argument to report the path the
-    scenario takes *inside* a ``Campaign.run(dedup=...)`` instead:
-
-    - ``"batch-dedup"`` — the scenario is campaign-dedupable (it has a
-      :func:`~repro.explore.campaign.scenario_compute_key`) and batch
-      capable: group members close shared columnar states under a
-      multi-link broadcast finalize and hand consumers lazy
-      :class:`~repro.explore.vectorized.BatchRows` views.
-
-    A dedupable scenario falls back to the solo paths above whenever
-    dedup is off/``"materialize"``, ``evaluation="scalar"`` is forced,
-    or the model cannot batch (then shared states are finalized and
-    materialized per member, the scalar dedup walk).
-
-    Purely informational, for self-describing perf repros; raises
-    exactly like :func:`explore` for an invalid or unsatisfiable
-    ``evaluation=``.
+    Purely informational, for self-describing perf repros; raises for
+    a non-bool ``dedup`` exactly like ``Campaign.run``.
     """
-    model = scenario.cost_model()
-    _check_evaluation_mode(evaluation, model)
-    resolved = resolve_executor(executor)
-    if dedup not in (False, "materialize") and evaluation != "scalar":
+    _check_dedup(dedup)
+    if not uses_stock_batch_semantics(scenario.cost_model()):
+        return "scalar-scratch"
+    if dedup:
         # Imported here: campaign builds on the engine, not vice versa.
         from repro.explore.campaign import scenario_compute_key
 
-        if scenario_compute_key(scenario) is not None and supports_batch_evaluation(
-            model
-        ):
+        if scenario_compute_key(scenario) is not None:
             return "batch-dedup"
-    if _cohort_eligible(scenario, model, resolved, evaluation):
-        if scenario.prune is not None or scenario.prefix_pruner() is not None:
-            return "batch-cohort-pruned"
-        return "batch-cohort"
-    if _shard_eligible(scenario, model, resolved, evaluation):
+    if not resolve_executor(executor).is_serial:
         return "batch-shard"
-    if evaluation != "scalar" and supports_batch_evaluation(model):
-        return "batch-chunk"
-    if supports_prefix_evaluation(model):
-        return "scalar-memoized"
-    return "scalar-scratch"
-
-
-def _pruning_batch_ready(scenario: Scenario) -> bool:
-    """Whether the scenario's config-level filters can ride the fused
-    columnar walks: per-config hooks always can (they run as scalar
-    emission-time filters over compacted cohorts / driver-side shard
-    filters), a prefix pruner only through its batch form."""
-    pruner = scenario.prefix_pruner()
-    return pruner is None or pruner.batch_capable
-
-
-def _cohort_eligible(
-    scenario: Scenario, model: Any, executor: SweepExecutor, evaluation: str
-) -> bool:
-    """Whether :func:`explore` may stream whole depth cohorts as
-    columnar batches: serial run and fully stock batch semantics (the
-    cohort walk replicates state arrays, so it must know their layout).
-    Depth pruning composes with cohorts; prefix pruners fuse in as
-    mask compaction when they carry batch forms (both auto-derived
-    pruners do), and per-config hooks filter compacted cohorts at
-    emission time."""
-    return (
-        evaluation != "scalar"
-        and executor.is_serial
-        and uses_stock_batch_semantics(model)
-        and _pruning_batch_ready(scenario)
-    )
-
-
-def _shard_eligible(
-    scenario: Scenario, model: Any, executor: SweepExecutor, evaluation: str
-) -> bool:
-    """Whether a parallel run may ship
-    :class:`~repro.explore.vectorized.CohortShard` descriptors instead
-    of pickled config chunks: parallel executor and fully stock batch
-    semantics (workers regenerate stock-shaped state columns), with any
-    pruning batch-ready — the driver resolves pruner masks and hooks
-    into explicit survivor indices, so workers never see either."""
-    return (
-        evaluation != "scalar"
-        and not executor.is_serial
-        and uses_stock_batch_semantics(model)
-        and _pruning_batch_ready(scenario)
-    )
+    if scenario.prune is not None or scenario.prefix_pruner() is not None:
+        return "batch-cohort-pruned"
+    return "batch-cohort"
 
 
 def explore(
@@ -350,9 +250,17 @@ def explore(
     sink: Any = None,
     collect: bool = True,
     collect_on_exit: bool = False,
-    evaluation: str = "auto",
 ) -> ExplorationResult | None:
     """Evaluate a scenario's whole (pruned) design space.
+
+    Stock cost models fold columnar — serial runs stream whole depth
+    cohorts with lazily materialized rows (pruning included: prefix
+    bounds fuse in as mask compaction, per-config hooks as
+    emission-time filters), parallel runs ship
+    :class:`~repro.explore.vectorized.CohortShard` descriptors that
+    workers fold locally. Any other model is costed per configuration
+    through its own ``evaluate()``. Every path produces bit-identical
+    results (:func:`evaluation_path` reports which one runs).
 
     Parameters
     ----------
@@ -386,20 +294,6 @@ def explore(
         before returning, instead of letting it land on the caller's
         next allocation (useful when a huge ``explore()`` is followed
         by latency-sensitive work).
-    evaluation:
-        ``"auto"`` (default) rides the columnar batch path whenever the
-        model supports it — serial stock runs stream whole depth
-        cohorts with lazily materialized rows (pruning included: prefix
-        bounds fuse in as mask compaction, per-config hooks as
-        emission-time filters), parallel stock runs ship
-        :class:`~repro.explore.vectorized.CohortShard` descriptors that
-        workers fold locally, and batch-capable models off the stock
-        shapes fold pickled chunks columnar — falling back to the
-        scalar prefix walk for custom models. ``"batch"`` requires a
-        batch path (raising :class:`ConfigurationError` when the model
-        cannot take one); ``"scalar"`` forces the scalar fold. Every
-        path produces bit-identical results (:func:`evaluation_path`
-        reports which one runs).
     """
     sink = resolve_sink(sink)
     if not collect and sink is None:
@@ -408,21 +302,17 @@ def explore(
             "stream rows somewhere (or drop collect=False)"
         )
     model = scenario.cost_model()
-    _check_evaluation_mode(evaluation, model)
+    stock = uses_stock_batch_semantics(model)
     # Pause the cyclic GC only when every allocation in the loop is the
     # engine's own (stock model, no per-config user hooks, no sink):
     # those objects are acyclic, so pausing changes wall-time only.
     # Custom models / prune hooks / sinks may build cycles, which must
     # stay collectable over a multi-million-config run (the auto-derived
     # pruners are engine-owned and acyclic, so they keep the pause).
-    pause = (
-        supports_prefix_evaluation(model)
-        and scenario.prune is None
-        and sink is None
-    )
+    pause = stock and scenario.prune is None and sink is None
     label = f"scenario {scenario.name!r}"
     resolved = resolve_executor(executor)
-    if _cohort_eligible(scenario, model, resolved, evaluation):
+    if stock and resolved.is_serial:
         size = chunk_size if chunk_size is not None else resolved.chunk_size
         if size is not None and size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
@@ -444,7 +334,6 @@ def explore(
                 pass_rates=scenario.pass_rates,
                 chunk_size=chunk_size,
                 approx_total=scenario.count_configs(),
-                evaluation=evaluation,
                 scenario=scenario,
             ):
                 if collect:
@@ -468,7 +357,7 @@ def _explore_cohorts(
     pause: bool,
     label: str,
 ) -> ExplorationResult | None:
-    """The serial columnar fast path of :func:`explore`: stream whole
+    """The serial columnar path of :func:`explore`: stream whole
     depth cohorts as :class:`~repro.explore.vectorized.BatchRows`.
 
     With ``collect=True`` every cohort is materialized in bulk (the
@@ -481,7 +370,7 @@ def _explore_cohorts(
     keep the streaming contract exactly: rows are buffered across
     cohort boundaries and written once per ``chunk_size`` rows, in
     enumeration order — byte-identical writes, same write count, same
-    bounded peak, as the scalar chunk path.
+    bounded peak, as the chunked paths.
     """
     evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
     evaluations: list[Any] = []
@@ -571,25 +460,33 @@ def _brute_force_energy(
 
 
 def explore_brute_force(scenario: Scenario) -> ExplorationResult:
-    """The pre-streaming engine, kept as oracle and baseline.
+    """The pre-streaming engine, kept as the one scalar oracle and
+    baseline.
 
-    Replicates what ``explore()`` did before the prefix-memoized
-    streaming path landed: materializes the full configuration list
-    through the validating :class:`PipelineConfig` constructor,
-    evaluates every configuration from block 0 with the seed's
-    evaluation loops through the public (validating, unslotted-speed)
-    dataclass constructors, and builds all rows eagerly. Tests assert
-    the streaming engine reproduces this byte for byte; the scaling
-    benchmark measures how much faster the streaming engine is. The
-    per-block float operations are the exact sequence the incremental
-    path replays, which is why bit-identity holds.
+    Replicates what ``explore()`` did before the memoized streaming
+    path landed: materializes the full configuration list through the
+    validating :class:`PipelineConfig` constructor, evaluates every
+    configuration from block 0 with the seed's evaluation loops through
+    the public (validating, unslotted-speed) dataclass constructors,
+    and builds all rows eagerly. Tests assert the streaming engine
+    reproduces this byte for byte; the scaling benchmark measures how
+    much faster the streaming engine is. The per-block float operations
+    are the exact sequence the columnar fold replays, which is why
+    bit-identity holds.
+
+    The seed loops hard-code the stock cost semantics, so they run only
+    for models that keep every stock scalar cost step
+    (:func:`~repro.explore.incremental.uses_stock_cost_semantics`). Any
+    other model — a custom ``evaluate()``, or customized
+    ``extend_state``/``finalize`` steps behind the stock ``evaluate()``
+    — is evaluated through its own ``evaluate()``.
     """
     model = scenario.cost_model()
     configs = [
         PipelineConfig(pipeline=config.pipeline, platforms=config.platforms)
         for config in scenario.iter_configs()
     ]
-    custom = not supports_prefix_evaluation(model)
+    custom = not uses_stock_cost_semantics(model)
     if scenario.domain == "throughput":
         if custom:
             evaluations = [model.evaluate(config) for config in configs]

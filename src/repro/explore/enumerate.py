@@ -73,8 +73,9 @@ class PrefixPruner:
     instance (the dual bound: per-depth exact transmit terms instead of
     the min over all completion depths).
 
-    A pruner may additionally carry a *batch* form of the same bound,
-    which the columnar cohort walk
+    A scenario's pruner (:meth:`repro.explore.scenario.Scenario.
+    prefix_pruner`; both auto-derived pruners) also carries a *batch*
+    form of the same bound, which the columnar cohort walk
     (:meth:`repro.explore.vectorized.BatchPrefixEvaluator.iter_scenario_batches`)
     fuses into its depth folds as boolean-mask compaction. The batch
     state is a flat tuple of equal-length 1-D arrays (row ``i`` is the
@@ -126,11 +127,6 @@ class PrefixPruner:
     initial_batch: Callable[[int], tuple] | None = None
     extend_batch: Callable[[int, Any, tuple], tuple[tuple, Any]] | None = None
     emit_mask: Callable[[int, tuple], Any] | None = None
-
-    @property
-    def batch_capable(self) -> bool:
-        """Whether the pruner can ride the fused columnar walk."""
-        return self.initial_batch is not None and self.extend_batch is not None
 
 
 def _normalize_hooks(

@@ -1,4 +1,4 @@
-"""Prefix-memoized configuration evaluation.
+"""Cost-semantics probes and the chunk entry points of the memoized walk.
 
 The design space is a trie over platform choices: every depth-``d``
 configuration is a depth-``d-1`` prefix plus one block, and both cost
@@ -8,27 +8,24 @@ the same sum-of-products structure exploited by the
 storage/computation/communication tradeoff literature lets us pay for
 each trie *node* once instead of once per descendant leaf.
 
-:class:`PrefixEvaluator` walks an arbitrary configuration sequence
-keeping the cost states along the most recent configuration's platform
-path. For the engine's enumeration order (and any contiguous chunk of
-it) consecutive configurations share all but a suffix of their path, so
-the amortized work per configuration is O(1) block extensions instead
-of O(depth): across a full enumeration with branching factor *b* the
-total number of extensions is ``b/(b-1)`` per configuration. Because
-:meth:`~repro.core.cost.ThroughputCostModel.extend_state` replays
-exactly the float operations of ``evaluate()`` in the same order,
-memoized results are bit-identical to from-scratch ones — the engine's
-correctness gate (tests) compares them byte-for-byte.
+The engine's one memoized walk is the columnar fold of
+:mod:`repro.explore.vectorized`: whole depth cohorts extend as
+struct-of-arrays states, replaying exactly the float operations of
+``evaluate()`` elementwise, so memoized results are bit-identical to
+from-scratch ones — the correctness gate (tests) compares them
+byte-for-byte against :func:`repro.explore.explore_brute_force`.
 
-The evaluator is deliberately sequence-agnostic: it never assumes
-enumeration order, it just benefits from it. Out-of-order sequences
-(e.g. a user-sorted config list) stay correct and degrade gracefully
-toward from-scratch cost.
+This module holds what both the solo engine and the campaign driver
+share around that fold: the stock-semantics probes, the per-depth link
+term, and the picklable chunk entry points process pools call
+(:func:`evaluate_chunk`, :func:`evaluate_chunk_states`). A model that
+customizes any cost step is not memoized at all — the engine costs it
+per configuration through its own ``evaluate()``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.core.cost import (
     ConfigCost,
@@ -37,48 +34,59 @@ from repro.core.cost import (
     ThroughputCostModel,
 )
 from repro.core.pipeline import PipelineConfig
-from repro.errors import ConfigurationError, PipelineError
+
+#: The scalar cost-defining steps of both stock models.
+_COST_STEPS = ("evaluate", "initial_state", "extend_state", "finalize")
+#: Their columnar counterparts.
+_BATCH_STEPS = (
+    "initial_state_batch",
+    "extend_state_batch",
+    "finalize_batch",
+    "finalize_batch_multi",
+)
 
 
-def supports_prefix_evaluation(model: Any) -> bool:
-    """Whether a model is safe to evaluate through the prefix walk.
-
-    A subclass that overrides ``evaluate()`` (e.g. to post-process
-    costs) would be silently bypassed by the incremental path, so only
-    models whose ``evaluate`` is the stock prefix fold qualify;
-    everything else falls back to per-config ``evaluate()`` calls.
-    Subclasses that customize ``extend_state``/``finalize`` while
-    keeping the stock ``evaluate`` remain eligible — the walk uses
-    their overridden steps.
-    """
-    if isinstance(model, ThroughputCostModel):
-        return type(model).evaluate is ThroughputCostModel.evaluate
-    if isinstance(model, EnergyCostModel):
-        return type(model).evaluate is EnergyCostModel.evaluate
-    return False
-
-
-def uses_stock_cost_semantics(model: Any) -> bool:
-    """Whether *every* cost-defining step of the model is the stock
-    implementation — ``evaluate``, ``initial_state``, ``extend_state``
-    and ``finalize``.
-
-    Stricter than :func:`supports_prefix_evaluation`: a subclass that
-    customizes ``extend_state``/``finalize`` while keeping the stock
-    ``evaluate`` is still prefix-eligible (the walk uses its overridden
-    steps), but its cost semantics are no longer the raw
-    ``Implementation``/link tables — so anything that derives *bounds*
-    from those tables (``Scenario.auto_prune`` /
-    ``auto_prune_configs``) must require this check, not mere
-    prefix-eligibility, or a sound-looking bound could prune
-    configurations the model rates feasible.
-    """
-    steps = ("evaluate", "initial_state", "extend_state", "finalize")
+def _overrides_none(model: Any, steps: Sequence[str]) -> bool:
+    """Whether ``model`` is a stock cost model (or a subclass) that
+    keeps the stock implementation of every method named in ``steps``."""
     for base in (ThroughputCostModel, EnergyCostModel):
         if isinstance(model, base):
             cls = type(model)
             return all(getattr(cls, name) is getattr(base, name) for name in steps)
     return False
+
+
+def uses_stock_cost_semantics(model: Any) -> bool:
+    """Whether *every* scalar cost-defining step of the model is the
+    stock implementation — ``evaluate``, ``initial_state``,
+    ``extend_state`` and ``finalize``.
+
+    A subclass that customizes ``extend_state``/``finalize`` while
+    keeping the stock ``evaluate`` rates configurations through its own
+    steps, so its cost semantics are no longer the raw
+    ``Implementation``/link tables. Anything that hard-codes those
+    tables must require this check: the bounds behind
+    ``Scenario.auto_prune``/``auto_prune_configs`` (a sound-looking
+    bound could otherwise prune configurations the model rates
+    feasible) and the seed loops of
+    :func:`~repro.explore.engine.explore_brute_force`.
+    """
+    return _overrides_none(model, _COST_STEPS)
+
+
+def uses_stock_batch_semantics(model: Any) -> bool:
+    """Whether every scalar *and* batch cost step is the stock
+    implementation — the one capability probe of the engine.
+
+    The columnar fold (:mod:`repro.explore.vectorized`) replicates
+    state arrays across options and the prefix-state cache gathers rows
+    by index, both of which require the stock struct-of-arrays layout
+    and the stock semantics the batch kernels replay. Models passing the
+    probe fold columnar on every path; any other model (a custom
+    ``evaluate()``, or customized scalar or batch steps) is costed per
+    configuration through its own ``evaluate()``.
+    """
+    return _overrides_none(model, _COST_STEPS + _BATCH_STEPS)
 
 
 def depth_link_cost(
@@ -90,10 +98,10 @@ def depth_link_cost(
     the platform choices — so the walk caches ``depth -> finalize arg``
     ((transmit joules, transmit seconds) in the energy domain, the
     communication frame rate in the throughput domain). Shared by
-    :class:`PrefixEvaluator` and the campaign dedup finalizer
-    (:class:`repro.explore.campaign._StateFinalizer`): one definition,
-    so the dedup finalize-replay stays expression-identical to solo
-    evaluation.
+    :class:`~repro.explore.vectorized.BatchPrefixEvaluator` and the
+    campaign dedup finalizer (:class:`repro.explore.campaign.
+    _StateFinalizer`): one definition, so a dedup member's finalize is
+    expression-identical to solo evaluation.
     """
     cached = cache.get(depth)
     if cached is None:
@@ -109,415 +117,36 @@ def depth_link_cost(
     return cached
 
 
-class PrefixEvaluator:
-    """Evaluate configurations of one pipeline with prefix reuse.
-
-    Parameters
-    ----------
-    model:
-        A :class:`~repro.core.cost.ThroughputCostModel` or
-        :class:`~repro.core.cost.EnergyCostModel` (or an eligible
-        subclass, see :func:`supports_prefix_evaluation`).
-    pass_rates:
-        Energy domain only: per-block pass-rate overrides, forwarded to
-        every ``extend_state`` step.
-
-    One evaluator serves one pipeline at a time: the memoized path and
-    the per-depth link-cost cache are invalidated automatically when a
-    configuration of a different pipeline arrives.
-    """
-
-    def __init__(
-        self,
-        model: ThroughputCostModel | EnergyCostModel,
-        pass_rates: dict[str, float] | None = None,
-    ):
-        if pass_rates is not None and not isinstance(model, EnergyCostModel):
-            raise ConfigurationError(
-                "pass_rates only apply to EnergyCostModel evaluation"
-            )
-        self.model = model
-        self.pass_rates = pass_rates
-        self._energy = isinstance(model, EnergyCostModel)
-        self._memoized = supports_prefix_evaluation(model)
-        self._pipeline = None
-        self._platforms: tuple[str, ...] = ()
-        self._states: list[Any] = []  # state after in-camera block i
-        self._link_costs: dict[int, Any] = {}  # cut depth -> finalize arg
-        #: (block index, platform) -> slowest-block label. Keyed by
-        #: position, not id(impl): one Implementation object may be
-        #: registered on several blocks, and the label names the block.
-        self._labels: dict[tuple[int, str], str] = {}
-
-    def _reset(self, pipeline) -> None:
-        self._pipeline = pipeline
-        self._platforms = ()
-        self._states = []
-        self._link_costs = {}
-        self._labels = {}
-
-    def _invalidate_path(self) -> None:
-        """Drop the memoized path after a mid-walk exception: the state
-        stack no longer corresponds to ``_platforms``, and a later
-        evaluation on this evaluator must not extend from it. The
-        per-depth link/label caches stay — they are value-correct
-        regardless of the path. Cleared in place: the evaluation loops
-        hold local aliases of the stack."""
-        self._platforms = ()
-        del self._states[:]
-
-    def _link_cost(self, depth: int, config: PipelineConfig) -> Any:
-        """Per-depth link term (see :func:`depth_link_cost`)."""
-        return depth_link_cost(
-            self.model.link, self._energy, self._link_costs, depth, config
-        )
-
-    def evaluate(self, config: PipelineConfig) -> ConfigCost | EnergyCost:
-        """The configuration's cost, reusing the memoized prefix path."""
-        if not self._memoized:
-            if self._energy:
-                return self.model.evaluate(config, self.pass_rates)
-            return self.model.evaluate(config)
-        return self.evaluate_many((config,))[0]
-
-    def evaluate_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[ConfigCost | EnergyCost]:
-        """Evaluate a configuration sequence (one executor chunk).
-
-        Semantically ``[self.evaluate(c) for c in configs]`` — the loop
-        from :meth:`evaluate` is inlined here with the evaluator state
-        held in locals, because per-config attribute loads and method
-        dispatch dominate once the amortized extension count drops to
-        O(1). The two stock models additionally get fully specialized
-        loops (their ``extend_state``/``finalize`` bodies inlined);
-        eligible subclasses run the generic memoized walk through their
-        overridden steps. The property tests pin every path to
-        from-scratch ``model.evaluate`` results, so they cannot drift
-        apart.
-        """
-        if not self._memoized:
-            evaluate = self.evaluate
-            return [evaluate(config) for config in configs]
-        model_type = type(self.model)
-        if model_type is ThroughputCostModel:
-            return self._throughput_many(configs)
-        if model_type is EnergyCostModel:
-            return self._energy_many(configs)
-        return self._generic_many(configs)
-
-    def _walk_states(
-        self, configs: Iterable[PipelineConfig]
-    ) -> Iterator[tuple[PipelineConfig, Any]]:
-        """The generic memoized walk, lazily: one (config, pre-finalize
-        state) pair per configuration, through the model's overridable
-        ``initial_state``/``extend_state`` steps.
-
-        The shared core of :meth:`_generic_many` (which finalizes each
-        pair as it arrives) and :meth:`states_many` (which returns the
-        pairs themselves) — one copy of the common-prefix matching and
-        state-stack bookkeeping, so the two paths cannot drift.
-        Consumers reading per-config caches (the per-depth link terms)
-        must do so before advancing: a pipeline switch mid-sequence
-        resets them.
-        """
-        model = self.model
-        energy = self._energy
-        pass_rates = self.pass_rates
-        extend = model.extend_state
-        try:
-            for config in configs:
-                if config.pipeline is not self._pipeline:
-                    self._reset(config.pipeline)
-                platforms = config.platforms
-                prev = self._platforms
-                states = self._states
-                n = len(platforms)
-                if n and len(prev) >= n - 1 and prev[: n - 1] == platforms[: n - 1]:
-                    common = (
-                        n
-                        if len(prev) >= n and prev[n - 1] == platforms[n - 1]
-                        else n - 1
-                    )
-                else:
-                    common = 0
-                    for mine, theirs in zip(prev, platforms):
-                        if mine != theirs:
-                            break
-                        common += 1
-                if len(states) > common:
-                    del states[common:]
-                state = states[common - 1] if common else model.initial_state()
-                if common < n:
-                    blocks = config.pipeline.blocks
-                    append = states.append
-                    if energy:
-                        for i in range(common, n):
-                            block = blocks[i]
-                            state = extend(
-                                state,
-                                block,
-                                block.implementations[platforms[i]],
-                                pass_rates,
-                            )
-                            append(state)
-                    else:
-                        for i in range(common, n):
-                            block = blocks[i]
-                            state = extend(
-                                state, block, block.implementations[platforms[i]]
-                            )
-                            append(state)
-                self._platforms = platforms
-                yield config, state
-        except KeyError:
-            # An invalid trusted() platform choice: re-raise as the
-            # standard PipelineError the validated path would produce.
-            self._invalidate_path()
-            config.in_camera_blocks()
-            raise
-        except BaseException:
-            # Also covers GeneratorExit: a consumer that raises (or
-            # abandons the walk) between yields leaves the memoized
-            # path invalidated, exactly like an in-walk failure.
-            self._invalidate_path()
-            raise
-
-    def _generic_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[ConfigCost | EnergyCost]:
-        """Memoized walk through the model's extend/finalize methods."""
-        finalize = self.model.finalize
-        out: list[ConfigCost | EnergyCost] = []
-        append_out = out.append
-        for config, state in self._walk_states(configs):
-            n = len(config.platforms)
-            # Re-read the cache each iteration: a pipeline switch inside
-            # the walk replaces it.
-            link_cost = self._link_costs.get(n)
-            if link_cost is None:
-                link_cost = self._link_cost(n, config)
-            append_out(finalize(state, config, link_cost))
-        return out
-
-    def states_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[tuple[PipelineConfig, Any]]:
-        """The memoized walk *stopped before finalize*: one (config,
-        prefix state) pair per configuration.
-
-        The state is the model's link-independent compute-side fold —
-        ``(min fps, slowest label)`` for throughput, ``(reach rate,
-        block energies, active seconds)`` for energy — i.e. everything
-        about the configuration's cost that does not depend on the
-        uplink. Campaign-level dedup evaluates a shared pipeline's
-        states once and finalizes them under each member scenario's own
-        link terms; because ``extend_state`` replays exactly the float
-        operations of ``evaluate()``, a state finalized under link *L*
-        is bit-identical to evaluating the configuration against *L*
-        from scratch (the invariant suite asserts this byte for byte).
-        Requires a prefix-eligible model (the walk *is* the stock
-        ``evaluate`` minus its last step; a custom ``evaluate()`` has no
-        well-defined pre-finalize state to share).
-        """
-        if not self._memoized:
-            raise ConfigurationError(
-                "states_many needs a prefix-eligible cost model (stock "
-                "evaluate); models overriding evaluate() have no "
-                "shareable pre-finalize state"
-            )
-        return list(self._walk_states(configs))
-
-    # The two loops below are _generic_many with the stock models'
-    # extend_state/finalize bodies inlined (identical expressions in
-    # identical order, so results stay bit-identical — pinned by the
-    # property tests). At amortized O(1) extensions per configuration,
-    # the per-block method dispatch they remove is the remaining cost.
-
-    def _throughput_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[ConfigCost]:
-        new = object.__new__
-        set_field = object.__setattr__
-        labels = self._labels
-        out: list[ConfigCost] = []
-        append_out = out.append
-        try:
-            for config in configs:
-                if config.pipeline is not self._pipeline:
-                    self._reset(config.pipeline)
-                    labels = self._labels
-                platforms = config.platforms
-                prev = self._platforms
-                states = self._states
-                n = len(platforms)
-                if n and len(prev) >= n - 1 and prev[: n - 1] == platforms[: n - 1]:
-                    common = (
-                        n
-                        if len(prev) >= n and prev[n - 1] == platforms[n - 1]
-                        else n - 1
-                    )
-                else:
-                    common = 0
-                    for mine, theirs in zip(prev, platforms):
-                        if mine != theirs:
-                            break
-                        common += 1
-                if len(states) > common:
-                    del states[common:]
-                state = states[common - 1] if common else (float("inf"), "none")
-                if common < n:
-                    blocks = config.pipeline.blocks
-                    append = states.append
-                    for i in range(common, n):
-                        block = blocks[i]
-                        impl = block.implementations[platforms[i]]
-                        if impl.fps < state[0]:
-                            key = (i, platforms[i])
-                            label = labels.get(key)
-                            if label is None:
-                                label = f"{block.name}({impl.platform})"
-                                labels[key] = label
-                            state = (impl.fps, label)
-                        append(state)
-                self._platforms = platforms
-                communication_fps = self._link_costs.get(n)
-                if communication_fps is None:
-                    communication_fps = self._link_cost(n, config)
-                cost = new(ConfigCost)
-                set_field(cost, "config", config)
-                set_field(cost, "compute_fps", state[0])
-                set_field(cost, "communication_fps", communication_fps)
-                set_field(cost, "slowest_block", state[1])
-                append_out(cost)
-        except KeyError:
-            self._invalidate_path()
-            config.in_camera_blocks()
-            raise
-        except BaseException:
-            self._invalidate_path()
-            raise
-        return out
-
-    def _energy_many(self, configs: Iterable[PipelineConfig]) -> list[EnergyCost]:
-        new = object.__new__
-        set_field = object.__setattr__
-        pass_rates = self.pass_rates
-        out: list[EnergyCost] = []
-        append_out = out.append
-        try:
-            for config in configs:
-                if config.pipeline is not self._pipeline:
-                    self._reset(config.pipeline)
-                platforms = config.platforms
-                prev = self._platforms
-                states = self._states
-                n = len(platforms)
-                if n and len(prev) >= n - 1 and prev[: n - 1] == platforms[: n - 1]:
-                    common = (
-                        n
-                        if len(prev) >= n and prev[n - 1] == platforms[n - 1]
-                        else n - 1
-                    )
-                else:
-                    common = 0
-                    for mine, theirs in zip(prev, platforms):
-                        if mine != theirs:
-                            break
-                        common += 1
-                if len(states) > common:
-                    del states[common:]
-                state = states[common - 1] if common else (1.0, (), 0.0)
-                if common < n:
-                    blocks = config.pipeline.blocks
-                    append = states.append
-                    rate, energies, active = state
-                    for i in range(common, n):
-                        block = blocks[i]
-                        impl = block.implementations[platforms[i]]
-                        energy = rate * impl.energy_per_frame
-                        active = active + rate * impl.active_seconds
-                        block_rate = (
-                            pass_rates.get(block.name, block.pass_rate)
-                            if pass_rates is not None
-                            else block.pass_rate
-                        )
-                        if not 0.0 <= block_rate <= 1.0:
-                            raise PipelineError(
-                                f"pass rate for {block.name!r} must be in [0,1], "
-                                f"got {block_rate}"
-                            )
-                        rate = rate * block_rate
-                        energies = energies + ((block.name, energy),)
-                        state = (rate, energies, active)
-                        append(state)
-                self._platforms = platforms
-                link_cost = self._link_costs.get(n)
-                if link_cost is None:
-                    link_cost = self._link_cost(n, config)
-                rate, energies, active = state
-                cost = new(EnergyCost)
-                set_field(cost, "config", config)
-                set_field(cost, "sensor_energy", config.pipeline.sensor_energy_per_frame)
-                set_field(cost, "block_energies", dict(energies))
-                set_field(cost, "transmit_energy", rate * link_cost[0])
-                set_field(cost, "transmit_rate", rate)
-                set_field(cost, "active_seconds", active + rate * link_cost[1])
-                append_out(cost)
-        except KeyError:
-            self._invalidate_path()
-            config.in_camera_blocks()
-            raise
-        except BaseException:
-            self._invalidate_path()
-            raise
-        return out
-
-
 def evaluate_chunk(
     model: ThroughputCostModel | EnergyCostModel,
     pass_rates: dict[str, float] | None,
     configs: Sequence[PipelineConfig],
     prefix_cache: Any = None,
-    allow_batch: bool = True,
 ) -> list[ConfigCost | EnergyCost]:
-    """Evaluate one contiguous chunk of configurations.
+    """Evaluate one contiguous chunk of configurations columnar.
 
     Module-level (picklable) so the process-pool backend can ship
-    chunks to workers; each chunk gets its own evaluator, so memoization
-    never crosses chunk boundaries and results are independent of how
-    the stream was chunked. Both the solo engine and the campaign
-    driver's tagged chunks evaluate through this one function, which is
-    why interleaving a fleet (under any scheduling policy) cannot
-    change any scenario's values.
+    chunks to workers; each chunk gets its own evaluator, so results
+    are independent of how the stream was chunked. Both the solo engine
+    and the campaign driver's tagged chunks evaluate through this one
+    function, which is why interleaving a fleet (under any scheduling
+    policy) cannot change any scenario's values. The model must have
+    stock cost semantics (see :func:`uses_stock_batch_semantics`).
 
-    Batch-capable models fold the chunk columnar (bit-identical values,
-    see :mod:`repro.explore.vectorized`) unless ``allow_batch`` is
-    False; everything else takes the scalar :class:`PrefixEvaluator`.
     ``prefix_cache`` (an optional
     :class:`~repro.explore.vectorized.PrefixStateCache`) lets fleet
-    chunks share batched prefix states across scenarios.
-
-    ``configs`` may also be a
-    :class:`~repro.explore.vectorized.CohortShard` descriptor instead
-    of a config sequence: workers then regenerate the rows locally from
-    the flat indices (O(depth) array work, nothing per-row pickled) —
-    the shard-eligibility gate guarantees a batch-capable stock model.
+    chunks share batched prefix states across scenarios. ``configs``
+    may also be a :class:`~repro.explore.vectorized.CohortShard`
+    descriptor instead of a config sequence: workers then regenerate
+    the rows locally from the flat indices (O(depth) array work,
+    nothing per-row pickled).
     """
-    from repro.explore.vectorized import CohortShard, batch_prefix_evaluator
+    from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
 
+    evaluator = BatchPrefixEvaluator(model, pass_rates, prefix_cache=prefix_cache)
     if isinstance(configs, CohortShard):
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is None:
-            raise ConfigurationError(
-                "CohortShard evaluation requires a batch-capable cost model"
-            )
-        return batch.evaluate_shard(configs)
-    if allow_batch:
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is not None:
-            return batch.evaluate_many(configs)
-    return PrefixEvaluator(model, pass_rates).evaluate_many(configs)
+        return evaluator.evaluate_shard(configs)
+    return evaluator.evaluate_many(configs)
 
 
 def evaluate_chunk_states(
@@ -525,37 +154,26 @@ def evaluate_chunk_states(
     pass_rates: dict[str, float] | None,
     configs: Sequence[PipelineConfig],
     prefix_cache: Any = None,
-    allow_batch: bool = True,
 ) -> Any:
-    """Chunk-shaped :meth:`PrefixEvaluator.states_many` (module-level
-    for process-pool picklability) — the dedup counterpart of
-    :func:`evaluate_chunk`: the campaign driver ships a shared
-    pipeline's chunks through this when several scenarios will finalize
-    the same compute-side states under their own links.
+    """The chunk's pre-finalize states (module-level for process-pool
+    picklability) — the dedup counterpart of :func:`evaluate_chunk`:
+    the campaign driver ships a shared pipeline's chunks through this
+    when several scenarios will finalize the same compute-side states
+    under their own links.
 
-    Batch-capable models return the states columnar as a
-    :class:`~repro.explore.vectorized.BatchChunkStates` (the finalizer
-    branches on the type) whose segments carry the decoded choice
-    matrix and per-level platform names alongside each depth-cohort
-    state — everything a member needs to wrap the shared state in a
-    lazy :class:`~repro.explore.vectorized.BatchRows` view after a
-    multi-link ``finalize_batch_multi`` without re-deriving configs;
-    the scalar walk returns (config, state) pairs as before. Like
-    :func:`evaluate_chunk`, ``configs`` may be a
+    Returns a :class:`~repro.explore.vectorized.BatchChunkStates` whose
+    segments carry the decoded choice matrix and per-level platform
+    names alongside each depth-cohort state — everything a member needs
+    to wrap the shared state in a lazy
+    :class:`~repro.explore.vectorized.BatchRows` view after a
+    multi-link ``finalize_batch_multi`` without re-deriving configs.
+    Like :func:`evaluate_chunk`, ``configs`` may be a
     :class:`~repro.explore.vectorized.CohortShard` the worker decodes
     locally.
     """
-    from repro.explore.vectorized import CohortShard, batch_prefix_evaluator
+    from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
 
+    evaluator = BatchPrefixEvaluator(model, pass_rates, prefix_cache=prefix_cache)
     if isinstance(configs, CohortShard):
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is None:
-            raise ConfigurationError(
-                "CohortShard evaluation requires a batch-capable cost model"
-            )
-        return batch.states_shard(configs)
-    if allow_batch:
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is not None:
-            return batch.states_chunk(configs)
-    return PrefixEvaluator(model, pass_rates).states_many(configs)
+        return evaluator.states_shard(configs)
+    return evaluator.states_chunk(configs)

@@ -1,12 +1,11 @@
 """Columnar batch evaluation: struct-of-arrays prefix states.
 
-The memoized scalar walk (:mod:`repro.explore.incremental`) reduced the
-per-configuration work to amortized O(1) block extensions — the ceiling
-left is Python object work: one ``PipelineConfig``, one cost object and
-one row dict per configuration, regardless of how few survive the
-consumer's frontier/top-k/feasibility filters. This module removes that
-ceiling for the stock cost models by evaluating whole *cohorts* of
-configurations as numpy struct-of-arrays operations:
+The engine's one memoized walk. Evaluating configurations one at a time
+costs Python object work per configuration — one ``PipelineConfig``,
+one cost object and one row dict — regardless of how few survive the
+consumer's frontier/top-k/feasibility filters. This module evaluates
+whole *cohorts* of configurations of the stock cost models as numpy
+struct-of-arrays operations instead:
 
 * A depth-``d`` cohort (every platform assignment with ``d`` in-camera
   blocks, in exact enumeration order) is built by repeating the depth
@@ -24,7 +23,8 @@ configurations as numpy struct-of-arrays operations:
 Bit-identity is the correctness contract: the batch kernels perform the
 same IEEE-754 float operations in the same order as the scalar fold
 (elementwise per row), so every materialized cost, row and frontier is
-byte-identical to the scalar and brute-force paths — asserted by the
+byte-identical to per-config ``evaluate()`` and to
+:func:`~repro.explore.engine.explore_brute_force` — asserted by the
 invariant suite. That constraint shapes the kernels: the running-min
 update is ``np.where(new < cur, new, cur)`` (the scalar branch, not
 ``np.minimum``, whose NaN semantics differ), and per-block energies
@@ -46,10 +46,10 @@ Pruned and parallel runs ride the same columnar core:
   prefix plan in O(depth) array operations
   (:meth:`BatchPrefixEvaluator.evaluate_shard`).
 
-Custom models fall back automatically: :func:`supports_batch_evaluation`
-admits a model only when every customized scalar step has a matching
-batch override (and numpy is importable); everything else rides the
-scalar :class:`~repro.explore.incremental.PrefixEvaluator`.
+Only models with fully stock cost semantics fold here
+(:func:`~repro.explore.incremental.uses_stock_batch_semantics`); a
+model that customizes any cost step is costed per configuration
+through its own ``evaluate()``.
 
 :class:`PrefixStateCache` extends campaign dedup from whole-space
 sharing to trie-keyed *partial* sharing: each depth-``j`` prefix of a
@@ -63,10 +63,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Iterator, Sequence
 
-try:  # the batch path is optional; everything degrades to scalar without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from repro.core.cost import (
     ConfigCost,
@@ -78,82 +75,12 @@ from repro.core.cost import (
 from repro.core.pipeline import InCameraPipeline, PipelineConfig, _digest
 from repro.errors import ConfigurationError
 from repro.explore.enumerate import _normalize_hooks, enumeration_plan
-from repro.explore.incremental import depth_link_cost, supports_prefix_evaluation
+from repro.explore.incremental import depth_link_cost, uses_stock_batch_semantics
 from repro.explore.result import cost_row
 
-#: (scalar step, batch counterpart) pairs the capability probe checks.
-_STEP_PAIRS = (
-    ("initial_state", "initial_state_batch"),
-    ("extend_state", "extend_state_batch"),
-    ("finalize", "finalize_batch"),
-)
-
-
-def supports_batch_evaluation(model: Any) -> bool:
-    """Whether a model is safe to evaluate through the columnar batch
-    path — the batch-capability probe next to
-    :func:`~repro.explore.incremental.supports_prefix_evaluation`.
-
-    Requires numpy, a prefix-eligible model (stock ``evaluate``), and
-    per-step consistency: for each (scalar, batch) step pair, a subclass
-    that overrides the scalar step must override the batch counterpart
-    too — otherwise the stock batch kernel would silently bypass the
-    customized scalar semantics. Overriding only the batch step (a
-    faster kernel with identical semantics) stays eligible, as does the
-    fully stock model.
-    """
-    if np is None or not supports_prefix_evaluation(model):
-        return False
-    for base in (ThroughputCostModel, EnergyCostModel):
-        if isinstance(model, base):
-            cls = type(model)
-            for scalar_name, batch_name in _STEP_PAIRS:
-                scalar_stock = getattr(cls, scalar_name) is getattr(base, scalar_name)
-                batch_stock = getattr(cls, batch_name) is getattr(base, batch_name)
-                if not scalar_stock and batch_stock:
-                    return False
-            return True
-    return False
-
-
-def uses_stock_batch_semantics(model: Any) -> bool:
-    """Whether every scalar *and* batch cost step is the stock
-    implementation.
-
-    Stricter than :func:`supports_batch_evaluation`, for the paths that
-    assume the stock state *shapes*: cohort enumeration replicates state
-    arrays across options and the prefix-state cache gathers rows by
-    index, both of which require knowing the struct-of-arrays layout. A
-    subclass with matching scalar+batch overrides is still batch-capable
-    (per-chunk folds never reshape states) but takes neither shortcut.
-    """
-    if np is None or not supports_prefix_evaluation(model):
-        return False
-    steps = ("evaluate",) + tuple(name for pair in _STEP_PAIRS for name in pair)
-    for base in (ThroughputCostModel, EnergyCostModel):
-        if isinstance(model, base):
-            cls = type(model)
-            return all(getattr(cls, name) is getattr(base, name) for name in steps)
-    return False
-
-
-def batch_prefix_evaluator(
-    model: Any,
-    pass_rates: dict[str, float] | None = None,
-    prefix_cache: "PrefixStateCache | None" = None,
-) -> "BatchPrefixEvaluator | None":
-    """A :class:`BatchPrefixEvaluator` for the model, or None when it is
-    not batch-capable (the chunk entry points' one-line dispatch)."""
-    if not supports_batch_evaluation(model):
-        return None
-    return BatchPrefixEvaluator(model, pass_rates, prefix_cache=prefix_cache)
-
-
 # -- stock state-shape helpers ------------------------------------------
-# Only the fully stock models reach these (gated by
-# uses_stock_batch_semantics): throughput states are (fps array, label
-# array), energy states (rate array, ((name, energy array), ...), active
-# array).
+# Throughput states are (fps array, label array), energy states (rate
+# array, ((name, energy array), ...), active array).
 
 
 def _repeat_state(state: Any, k: int, energy: bool) -> Any:
@@ -187,8 +114,8 @@ def _materialize_costs(
 ) -> list[ConfigCost | EnergyCost]:
     """Cost objects for every row of a finalized column mapping.
 
-    Mirrors the stock ``finalize`` field-for-field (same
-    ``object.__new__`` construction the scalar hot loops use); array
+    Mirrors the stock ``finalize`` field-for-field (built through
+    ``object.__new__``, skipping the dataclass validation); array
     values pass through ``tolist()`` so every field is a plain Python
     float/str, indistinguishable from scalar evaluation.
     """
@@ -239,7 +166,7 @@ class BatchRows:
     :attr:`n_materialized` counts rows turned into objects (what the
     benchmark's memory check asserts on). Materialized rows/costs are
     built through the same ``cost_row``/finalize field definitions as
-    the scalar path, so they are byte-identical to it.
+    per-config evaluation, so they are byte-identical to it.
     """
 
     __slots__ = (
@@ -323,8 +250,8 @@ class BatchRows:
         return _materialize_costs(configs, self.columns, self._energy)
 
     def row(self, i: int) -> dict[str, Any]:
-        """Row ``i``'s report row — exactly the scalar path's
-        ``cost_row`` over the materialized cost."""
+        """Row ``i``'s report row — exactly ``cost_row`` over the
+        materialized cost."""
         return cost_row(self.scenario, self.cost(i))
 
     def rows(self) -> list[dict[str, Any]]:
@@ -396,16 +323,14 @@ class BatchRows:
 class BatchChunkStates:
     """Pre-finalize compute-side states of one evaluated chunk, columnar.
 
-    The batch counterpart of :meth:`PrefixEvaluator.states_many`'s
-    ``(config, state)`` pair list: contiguous same-``(pipeline, depth)``
-    runs of the chunk, each a ``(configs, depth, state, choices,
-    level_names)`` segment — one struct-of-arrays state plus the
-    ``(n, depth)`` choice matrix and per-level platform names that let a
-    member build a lazy :class:`BatchRows` view without re-deriving
-    them. Campaign dedup finalizes every run under each member
-    scenario's own link terms (:class:`repro.explore.campaign.
-    _StateFinalizer`); picklable, so process-pool leaders can ship
-    states back like the scalar pairs.
+    Contiguous same-``(pipeline, depth)`` runs of the chunk, each a
+    ``(configs, depth, state, choices, level_names)`` segment — one
+    struct-of-arrays state plus the ``(n, depth)`` choice matrix and
+    per-level platform names that let a member build a lazy
+    :class:`BatchRows` view without re-deriving them. Campaign dedup
+    finalizes every run under each member scenario's own link terms
+    (:meth:`repro.explore.campaign.PipelineCostCache.finalize_group`);
+    picklable, so process-pool leaders can ship states back.
     """
 
     __slots__ = ("segments", "energy")
@@ -630,21 +555,21 @@ class PrefixStateCache:
 
 class BatchPrefixEvaluator:
     """Evaluate configurations of stock-semantics models as columnar
-    struct-of-arrays folds — the batch sibling of
-    :class:`~repro.explore.incremental.PrefixEvaluator`.
+    struct-of-arrays folds.
 
     Three entry points share one fold core: :meth:`evaluate_many` (an
-    arbitrary chunk, materialized cost objects — what campaign chunks
-    and parallel workers use), :meth:`states_chunk` (pre-finalize states
-    for dedup leaders), and :meth:`iter_scenario_batches` (whole-space
-    cohort enumeration with lazy :class:`BatchRows`, the solo
-    ``explore()`` fast path). Every path replays the scalar fold's float
-    operations elementwise, so results are bit-identical to the scalar
-    evaluator (and to brute force) — asserted row-for-row by the
-    invariant suite.
+    arbitrary chunk, materialized cost objects — what campaign chunks,
+    explicit config lists and parallel workers use),
+    :meth:`states_chunk` (pre-finalize states for dedup leaders), and
+    :meth:`iter_scenario_batches` (whole-space cohort enumeration with
+    lazy :class:`BatchRows`, the solo ``explore()`` path). Every path
+    replays the scalar fold's float operations elementwise, so results
+    are bit-identical to per-config ``evaluate()`` (and to brute force)
+    — asserted row-for-row by the invariant suite.
 
-    ``prefix_cache`` plugs in a :class:`PrefixStateCache` (ignored for
-    models with custom batch steps, whose state shapes are unknown).
+    ``prefix_cache`` plugs in a :class:`PrefixStateCache`. Models that
+    fail :func:`~repro.explore.incremental.uses_stock_batch_semantics`
+    are refused.
     """
 
     def __init__(
@@ -657,19 +582,16 @@ class BatchPrefixEvaluator:
             raise ConfigurationError(
                 "pass_rates only apply to EnergyCostModel evaluation"
             )
-        if not supports_batch_evaluation(model):
+        if not uses_stock_batch_semantics(model):
             raise ConfigurationError(
-                "model is not batch-capable (numpy missing, custom evaluate(), "
-                "or a customized scalar step without its batch counterpart); "
-                "use the scalar PrefixEvaluator"
+                "the columnar fold needs fully stock batch cost semantics; "
+                "a model overriding evaluate() or any cost step is costed "
+                "per config through its own evaluate()"
             )
         self.model = model
         self.pass_rates = pass_rates
         self._energy = isinstance(model, EnergyCostModel)
-        self._stock = uses_stock_batch_semantics(model)
-        # Cache entries assume the stock state layout; a model with
-        # custom (matched) batch steps folds every chunk from the root.
-        self.prefix_cache = prefix_cache if self._stock else None
+        self.prefix_cache = prefix_cache
         self._plans: dict[int, _PipelinePlan] = {}
 
     def _plan_for(self, pipeline: InCameraPipeline) -> _PipelinePlan:
@@ -720,7 +642,7 @@ class BatchPrefixEvaluator:
         except (KeyError, IndexError):
             # An invalid trusted() platform choice (or a block past the
             # enumerable levels): surface the standard PipelineError the
-            # validated path produces, exactly like the scalar walk.
+            # validated path produces, exactly like evaluate().
             for config in run:
                 config.in_camera_blocks()
             raise
@@ -758,9 +680,10 @@ class BatchPrefixEvaluator:
     def evaluate_many(
         self, configs: Iterable[PipelineConfig]
     ) -> list[ConfigCost | EnergyCost]:
-        """Costs for a configuration sequence, in sequence order —
-        drop-in for :meth:`PrefixEvaluator.evaluate_many` (values are
-        bit-identical; only the fold is columnar)."""
+        """Costs for a configuration sequence, in sequence order — values
+        bit-identical to ``[model.evaluate(c) for c in configs]``. Any
+        order and any mix of pipelines and depths is legal; contiguous
+        same-depth runs fold together."""
         configs = configs if isinstance(configs, Sequence) else list(configs)
         model = self.model
         energy = self._energy
@@ -778,8 +701,7 @@ class BatchPrefixEvaluator:
 
     def states_chunk(self, configs: Iterable[PipelineConfig]) -> BatchChunkStates:
         """The chunk's pre-finalize states as a :class:`BatchChunkStates`
-        — the batch counterpart of :meth:`PrefixEvaluator.states_many`
-        for campaign dedup leaders."""
+        — what campaign dedup leaders evaluate for their group."""
         configs = configs if isinstance(configs, Sequence) else list(configs)
         segments = []
         for pipeline, depth, run in self._segments(configs):
@@ -799,12 +721,6 @@ class BatchPrefixEvaluator:
         trusted configs — mixed-radix decode from the least significant
         (deepest) level, the inverse of the enumeration's
         ``flat = flat * k + choice`` accumulation."""
-        if not self._stock:
-            raise ConfigurationError(
-                "shard evaluation needs fully stock batch cost semantics "
-                "(custom batch steps have unknown state shapes); ship "
-                "config chunks through evaluate_many instead"
-            )
         plan = self._plan_for(shard.pipeline)
         levels = plan.levels
         depth = shard.depth
@@ -888,26 +804,13 @@ class BatchPrefixEvaluator:
           are not depth-monotone additionally supply ``emit_mask``,
           applied to an emission-only gather so the *running* cohort
           keeps every row some deeper depth still needs. Survivor rows
-          are byte-identical to the scalar pruned walk. A pruner
-          without a batch form raises — callers gate on
-          ``PrefixPruner.batch_capable``.
+          are byte-identical to the scalar pruned enumeration.
         * Per-config ``scenario.prune`` hooks run as a scalar filter
           over the already compacted cohort at emission time, in
           enumeration order with the scalar path's short-circuit
           semantics (hooks see only rows every other filter kept).
         """
-        if not self._stock:
-            raise ConfigurationError(
-                "cohort enumeration needs fully stock batch cost semantics "
-                "(custom batch steps have unknown state shapes); evaluate "
-                "chunks through evaluate_many instead"
-            )
         pruner = scenario.prefix_pruner()
-        if pruner is not None and not pruner.batch_capable:
-            raise ConfigurationError(
-                "cohort enumeration with a prefix pruner needs its batch form "
-                "(initial_batch/extend_batch); use the scalar path"
-            )
         hooks = _normalize_hooks(scenario.prune)
         pipeline = scenario.pipeline
         plan = self._plan_for(pipeline)
@@ -921,8 +824,8 @@ class BatchPrefixEvaluator:
 
         def hook_filter(depth: int, choices: Any, state: Any) -> tuple[Any, Any]:
             """Per-config hooks over the compacted cohort — the same
-            configs, order and any()-short-circuit as the scalar walk's
-            keep() filter."""
+            configs, order and any()-short-circuit as the scalar
+            enumeration's keep() filter."""
             names = [level.names for level in levels[:depth]]
             kept = [
                 i
@@ -1040,11 +943,6 @@ def iter_scenario_shards(
     survivors' explicit index arrays.
     """
     pruner = scenario.prefix_pruner()
-    if pruner is not None and not pruner.batch_capable:
-        raise ConfigurationError(
-            "cohort sharding with a prefix pruner needs its batch form "
-            "(initial_batch/extend_batch); use the scalar path"
-        )
     if shard_size < 1:
         raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
     hooks = _normalize_hooks(scenario.prune)
@@ -1066,7 +964,8 @@ def iter_scenario_shards(
 
     def hook_keep(depth: int, flat: Any) -> Any:
         """Decode each flat index and apply the hooks — same configs,
-        order and short-circuit as the scalar walk's keep() filter."""
+        order and short-circuit as the scalar enumeration's keep()
+        filter."""
         kept = []
         for value in flat.tolist():
             choice = []

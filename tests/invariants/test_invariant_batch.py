@@ -2,17 +2,17 @@
 
 The columnar batch core's contract is *bit identity*: every float a
 :class:`~repro.explore.vectorized.BatchPrefixEvaluator` materializes
-must equal — byte for byte through JSON — the scalar
-:class:`~repro.explore.incremental.PrefixEvaluator` fold over the same
-configurations. These properties pin that contract across random
-pipelines, links and constraints in both cost domains:
+must equal — byte for byte through JSON — the scalar from-scratch
+``model.evaluate`` fold over the same configurations. These properties
+pin that contract across random pipelines, links and constraints in
+both cost domains:
 
-* **batch explore == scalar explore**: ``explore()`` on the auto
-  (batch) path equals ``evaluation="scalar"``, with and without
-  pruning;
-* **batch fold == scalar fold**: the evaluator pair agrees directly on
-  shuffled mixed-depth configuration streams, including energy
-  ``pass_rates`` overrides;
+* **batch explore == scalar explore**: ``explore()`` on the columnar
+  path equals the scalar oracle :func:`~repro.explore.
+  explore_brute_force`, with and without pruning;
+* **batch fold == scalar fold**: the evaluator agrees directly with
+  per-config ``evaluate()`` on shuffled mixed-depth configuration
+  streams, including energy ``pass_rates`` overrides;
 * **prefix cache is invisible**: a shared
   :class:`~repro.explore.vectorized.PrefixStateCache` changes hit
   counters, never rows;
@@ -29,14 +29,14 @@ import pytest
 
 from repro.datasets.rng import make_rng
 from repro.explore import (
+    BatchPrefixEvaluator,
     Campaign,
     PrefixStateCache,
     explore,
-    supports_batch_evaluation,
+    explore_brute_force,
+    uses_stock_batch_semantics,
 )
-from repro.explore.incremental import PrefixEvaluator
 from repro.explore.result import cost_row
-from repro.explore.vectorized import batch_prefix_evaluator
 
 SEEDS = range(12)
 
@@ -45,7 +45,7 @@ SEEDS = range(12)
 def test_batch_explore_equals_scalar_explore(gen, seed):
     scenario = gen.scenario(seed, name=f"batch-{seed}")
     batch = explore(scenario)
-    scalar = explore(scenario, evaluation="scalar")
+    scalar = explore_brute_force(scenario)
     assert json.dumps(batch.rows) == json.dumps(scalar.rows), seed
 
 
@@ -58,7 +58,7 @@ def test_batch_explore_equals_scalar_with_pruning(gen, seed):
     if scenario.domain == "throughput":
         scenario = replace(scenario, auto_prune_configs=bool(rng.random() < 0.5))
     batch = explore(scenario)
-    scalar = explore(scenario, evaluation="scalar")
+    scalar = explore_brute_force(scenario)
     assert json.dumps(batch.rows) == json.dumps(scalar.rows), seed
 
 
@@ -71,16 +71,20 @@ def test_batch_fold_equals_scalar_fold_on_shuffled_configs(gen, seed):
     rng = make_rng(seed)
     scenario = gen.scenario(rng, name=f"fold-{seed}")
     model = scenario.cost_model()
-    assert supports_batch_evaluation(model)
+    assert uses_stock_batch_semantics(model)
     configs = list(scenario.iter_configs())
     order = rng.permutation(len(configs))
     configs = [configs[int(i)] for i in order]
 
-    batch = batch_prefix_evaluator(model, pass_rates=scenario.pass_rates)
-    assert batch is not None
-    scalar = PrefixEvaluator(model, pass_rates=scenario.pass_rates)
+    batch = BatchPrefixEvaluator(model, pass_rates=scenario.pass_rates)
     got = [cost_row(scenario, cost) for cost in batch.evaluate_many(configs)]
-    want = [cost_row(scenario, scalar.evaluate(config)) for config in configs]
+    if scenario.domain == "energy":
+        want = [
+            cost_row(scenario, model.evaluate(config, scenario.pass_rates))
+            for config in configs
+        ]
+    else:
+        want = [cost_row(scenario, model.evaluate(config)) for config in configs]
     assert json.dumps(got) == json.dumps(want), seed
 
 
@@ -101,7 +105,7 @@ def test_energy_pass_rate_overrides_survive_batching(gen, seed):
         pass_rates=overrides or None,
     )
     batch = explore(scenario)
-    scalar = explore(scenario, evaluation="scalar")
+    scalar = explore_brute_force(scenario)
     assert json.dumps(batch.rows) == json.dumps(scalar.rows), seed
 
 
@@ -111,9 +115,9 @@ def test_prefix_cache_changes_counters_never_rows(gen, seed):
     model = scenario.cost_model()
     configs = list(scenario.iter_configs())
 
-    plain = batch_prefix_evaluator(model, pass_rates=scenario.pass_rates)
+    plain = BatchPrefixEvaluator(model, pass_rates=scenario.pass_rates)
     cache = PrefixStateCache()
-    cached = batch_prefix_evaluator(
+    cached = BatchPrefixEvaluator(
         model, pass_rates=scenario.pass_rates, prefix_cache=cache
     )
     want = [cost_row(scenario, c) for c in plain.evaluate_many(configs)]
@@ -123,7 +127,7 @@ def test_prefix_cache_changes_counters_never_rows(gen, seed):
     # A second evaluator sharing the cache (a dedup sibling) reuses the
     # stored prefixes — and still produces identical rows.
     misses_after_first = cache.misses
-    sibling = batch_prefix_evaluator(
+    sibling = BatchPrefixEvaluator(
         model, pass_rates=scenario.pass_rates, prefix_cache=cache
     )
     second = [cost_row(scenario, c) for c in sibling.evaluate_many(configs)]

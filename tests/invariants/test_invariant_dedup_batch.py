@@ -1,15 +1,14 @@
 """Columnar dedup invariants over seeded random fleets.
 
-PR 8's load-bearing identity: the *lazy columnar* dedup finalize
-(``dedup=True``, one ``finalize_batch_multi`` broadcast per shared
-segment, members handing consumers lazy ``BatchRows`` views) produces
-exactly the bytes of the *materialized* per-member finalize
-(``dedup="materialize"``, the pre-PR-8 path), of a dedup-off campaign,
-and of a solo ``explore()`` — for both domains, with pass-rate
-variants, collected and export-only, on serial, thread and process
-executors. The multi-link broadcast replays each member's scalar
-IEEE-754 operation order per column, so equality is byte equality,
-never tolerance.
+The load-bearing identity of campaign dedup: the *lazy columnar*
+finalize (``dedup=True``, one ``finalize_batch_multi`` broadcast per
+shared segment, members handing consumers lazy ``BatchRows`` views)
+produces exactly the bytes of the same views fully *materialized* (a
+collected dedup run), of a dedup-off campaign, and of a solo
+``explore()`` — for both domains, with pass-rate variants, collected
+and export-only, on serial, thread and process executors. The
+multi-link broadcast replays each member's scalar IEEE-754 operation
+order per column, so equality is byte equality, never tolerance.
 
 The fleet-generator round trip is also a property: every
 :class:`~repro.explore.FleetSpec` cell (entry x pass-rate variant)
@@ -33,7 +32,7 @@ from repro.explore import (
     scenario_compute_key,
 )
 from repro.explore.catalog import load_builtin
-from repro.explore.sink import CsvSink, ParetoSink, TopKSink
+from repro.explore.sink import CsvSink, MemorySink, TopKSink
 
 SEEDS = range(10)
 
@@ -58,22 +57,25 @@ def _grouped(fleet):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lazy_equals_materialize_equals_off_equals_solo(gen, seed):
-    """Collected runs: all three dedup modes return byte-identical rows,
-    stats and frontiers, matching solo explore."""
+    """Export-only lazy dedup (views streamed to row sinks), collected
+    dedup (every view materialized) and dedup-off runs return
+    byte-identical rows, stats and frontiers, matching solo explore."""
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
-    lazy = Campaign(fleet).run(chunk_size=4, dedup=True)
-    materialized = Campaign(fleet).run(chunk_size=4, dedup="materialize")
+    sinks = {scenario.name: MemorySink() for scenario in fleet}
+    lazy = Campaign(fleet).run(chunk_size=4, dedup=True, sinks=sinks, collect=False)
+    materialized = Campaign(fleet).run(chunk_size=4, dedup=True)
     off = Campaign(fleet).run(chunk_size=4, dedup=False)
     for runs in zip(lazy, materialized, off):
-        reference = json.dumps(solo[runs[0].name])
-        for run in runs:
+        name = runs[0].name
+        reference = json.dumps(solo[name])
+        assert json.dumps(sinks[name].rows) == reference, (seed, name)
+        for run in runs[1:]:
             assert json.dumps(run.result.rows) == reference, (seed, run.name)
         assert len({run.n_feasible for run in runs}) == 1
         assert len({run.pareto_size for run in runs}) == 1
         assert runs[0].best == runs[1].best == runs[2].best
-    # Both dedup modes share identical *amounts* of work; only the lazy
-    # mode reports materialization counts for group members.
+    # Both dedup runs share identical *amounts* of work.
     assert (
         lazy.cache_stats["evaluations_skipped"]
         == materialized.cache_stats["evaluations_skipped"]
@@ -95,7 +97,7 @@ def test_export_only_csv_bytes_match_solo(gen, seed):
         collect=False,
         dedup=True,
     )
-    collected = Campaign(fleet).run(chunk_size=3, dedup="materialize")
+    collected = Campaign(fleet).run(chunk_size=3, dedup=True)
     for scenario in fleet:
         solo = explore(scenario)
         expected = solo.to_csv() if solo.rows else ""
@@ -247,9 +249,9 @@ def test_pass_rate_sibling_fleets_group_and_match(gen, seed):
     groups = _grouped(fleet)
     assert sorted(len(members) for members in groups.values()) == [1, 2]
     solo = _solo_rows(fleet)
-    for mode in (True, "materialize"):
+    for mode in (True, False):
         result = Campaign(fleet).run(chunk_size=3, dedup=mode)
-        assert result.cache_stats["scenarios_shared"] == 1
+        assert result.cache_stats["scenarios_shared"] == int(mode)
         for run in result:
             assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
                 seed,
@@ -265,5 +267,6 @@ def test_invalid_dedup_mode_raises():
         s
         for s in [load_builtin().build("compression-throughput")]
     ]
-    with pytest.raises(ConfigurationError):
-        Campaign(fleet).run(dedup="eager")
+    for mode in ("eager", "lazy", "materialize", 1, None):
+        with pytest.raises(ConfigurationError, match="dedup must be True or False"):
+            Campaign(fleet).run(dedup=mode)

@@ -5,7 +5,8 @@ properties:
 
 * **batch-pruned == scalar-pruned**: a pruned scenario explored down
   the ``batch-cohort-pruned`` path produces rows byte-identical to the
-  scalar pruned walk (``evaluation="scalar"``), in both domains,
+  scalar pruned walk (``explore_brute_force``: the scalar pruner DFS
+  plus from-scratch evaluation), in both domains,
   through the energy pruner's dual bound on adversarial
   late-collapsing payload chains, and with per-config ``prune`` hooks
   riding the cohort walk as emission-time filters;
@@ -60,7 +61,7 @@ def test_batch_pruned_equals_scalar_pruned(gen, seed, domain):
     for variant in _pruned_variants(scenario):
         assert evaluation_path(variant) == "batch-cohort-pruned"
         batch = explore(variant)
-        scalar = explore(variant, evaluation="scalar")
+        scalar = explore_brute_force(variant)
         assert _rows_json(batch) == _rows_json(scalar), (seed, domain)
 
 
@@ -84,7 +85,7 @@ def test_energy_dual_bound_batch_identity_on_late_collapse(gen, seed):
     )
     for variant in _pruned_variants(scenario):
         batch = explore(variant)
-        assert _rows_json(batch) == _rows_json(explore(variant, evaluation="scalar"))
+        assert _rows_json(batch) == _rows_json(explore_brute_force(variant))
         assert (
             json.dumps([row for row in batch.rows if row["feasible"]])
             == oracle_feasible
@@ -104,7 +105,7 @@ def test_per_config_hooks_ride_the_batch_path(gen, seed):
     for variant in variants:
         assert evaluation_path(variant) == "batch-cohort-pruned"
         assert _rows_json(explore(variant)) == _rows_json(
-            explore(variant, evaluation="scalar")
+            explore_brute_force(variant)
         ), seed
 
 

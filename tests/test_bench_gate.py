@@ -31,15 +31,17 @@ gate = load_gate()
 
 
 def entry(speedup, kind="explore_scaling"):
-    return {"kind": kind, "speedup_memoized_vs_brute": speedup}
+    return {"kind": kind, "speedup_explore_vs_brute": speedup}
 
 
 def test_latest_and_best_prior_filters_kind_and_metric():
     trajectory = [
         entry(5.0),
-        {"kind": "energy_pareto", "speedup_memoized_vs_brute": 99.0},
+        {"kind": "energy_pareto", "speedup_explore_vs_brute": 99.0},
         entry(6.5),
         {"kind": "explore_scaling"},  # no metric: ignored
+        # A pre-rebase entry gated on the deleted memoized walk: ignored.
+        {"kind": "explore_scaling", "speedup_memoized_vs_brute": 50.0},
         entry(4.0),
     ]
     latest, best = gate.latest_and_best_prior(trajectory)
@@ -73,30 +75,42 @@ def test_assess_fails_beyond_five_x():
     assert gate.assess(0.0, 6.0)[0] == "fail"
 
 
-def vec_entry(speedup):
-    return {"kind": "explore_vectorized", "speedup_batch_vs_scalar": speedup}
+VEC_METRIC = "modes.batch_lazy.configs_per_sec"
+PRUNED_METRIC = "modes.fused_lazy.configs_per_sec"
 
 
-def pruned_entry(speedup):
+def vec_entry(rate):
+    """An explore_vectorized entry; the gate reads the absolute lazy
+    throughput (in millions of configs/s here, for readability)."""
+    return {
+        "kind": "explore_vectorized",
+        "modes": {
+            "batch": {"configs_per_sec": 0.3},
+            "batch_lazy": {"configs_per_sec": rate},
+        },
+    }
+
+
+def pruned_entry(rate):
     return {
         "kind": "explore_pruned_vectorized",
-        "speedup_fused_vs_scalar_pruned": speedup,
+        "modes": {"fused_lazy": {"configs_per_sec": rate}},
     }
 
 
 def fleet_entry(speedup):
     return {
         "kind": "campaign_fleet_columnar",
-        "speedup_lazy_vs_materialize": speedup,
+        "speedup_lazy_vs_off": speedup,
     }
 
 
 def test_gated_kinds_cover_every_trajectory_kind():
     assert gate.GATED_KINDS == {
-        "explore_scaling": "speedup_memoized_vs_brute",
-        "explore_vectorized": "speedup_batch_vs_scalar",
-        "explore_pruned_vectorized": "speedup_fused_vs_scalar_pruned",
-        "campaign_fleet_columnar": "speedup_lazy_vs_materialize",
+        "explore_scaling": "speedup_explore_vs_brute",
+        "explore_vectorized": VEC_METRIC,
+        "explore_pruned_vectorized": PRUNED_METRIC,
+        "campaign_fleet_columnar": "speedup_lazy_vs_off",
         "joint_fleet": "speedup_joint_vs_naive",
     }
 
@@ -105,19 +119,28 @@ def test_latest_and_best_prior_is_kind_aware():
     trajectory = [entry(5.0), vec_entry(20.0), entry(6.0), vec_entry(15.0)]
     assert gate.latest_and_best_prior(trajectory) == (6.0, 5.0)
     assert gate.latest_and_best_prior(
-        trajectory, "explore_vectorized", "speedup_batch_vs_scalar"
+        trajectory, "explore_vectorized", VEC_METRIC
     ) == (15.0, 20.0)
+    # Dotted paths skip entries missing any step or holding no number.
+    partial = [
+        vec_entry(20.0),
+        {"kind": "explore_vectorized", "modes": {}},
+        {"kind": "explore_vectorized", "modes": {"batch_lazy": "n/a"}},
+        vec_entry(15.0),
+    ]
+    assert gate.latest_and_best_prior(partial, "explore_vectorized", VEC_METRIC) == (
+        15.0,
+        20.0,
+    )
 
 
 def test_assess_message_names_the_gated_kind_and_metric():
     status, message = gate.assess(
-        2.0, 20.0, kind="explore_vectorized", metric="speedup_batch_vs_scalar"
+        2.0, 20.0, kind="explore_vectorized", metric=VEC_METRIC
     )
     assert status == "fail"
-    assert "speedup_batch_vs_scalar" in message
-    _, first = gate.assess(
-        20.0, None, kind="explore_vectorized", metric="speedup_batch_vs_scalar"
-    )
+    assert VEC_METRIC in message
+    _, first = gate.assess(20.0, None, kind="explore_vectorized", metric=VEC_METRIC)
     assert "explore_vectorized" in first
 
 
@@ -136,12 +159,12 @@ def test_main_gates_each_kind_independently(tmp_path):
 
 def test_pruned_vectorized_kind_is_gated(tmp_path):
     """The fused-pruning trajectory rides the same gate semantics: its
-    speedup metric is kind-filtered and a hard regression fails the
-    build even when every other kind is healthy."""
+    absolute lazy throughput is kind-filtered and a hard regression
+    fails the build even when every other kind is healthy."""
     assert gate.latest_and_best_prior(
         [pruned_entry(8.0), vec_entry(20.0), pruned_entry(7.0)],
         "explore_pruned_vectorized",
-        "speedup_fused_vs_scalar_pruned",
+        PRUNED_METRIC,
     ) == (7.0, 8.0)
     path = tmp_path / "BENCH_explore.json"
     healthy = [entry(6.0), vec_entry(20.0), pruned_entry(8.0)]
@@ -153,13 +176,13 @@ def test_pruned_vectorized_kind_is_gated(tmp_path):
 
 def test_fleet_columnar_kind_is_gated(tmp_path):
     """The fleet-scale lazy-dedup trajectory rides the same gate
-    semantics: its speedup metric is kind-filtered and a hard
-    regression (e.g. the lazy path silently falling back to per-member
-    materialization) fails the build on its own."""
+    semantics: its speedup over the dedup-off run is kind-filtered and a
+    hard regression (e.g. the lazy path silently falling back to
+    per-member evaluation) fails the build on its own."""
     assert gate.latest_and_best_prior(
         [fleet_entry(8.0), pruned_entry(14.0), fleet_entry(7.0)],
         "campaign_fleet_columnar",
-        "speedup_lazy_vs_materialize",
+        "speedup_lazy_vs_off",
     ) == (7.0, 8.0)
     path = tmp_path / "BENCH_explore.json"
     healthy = [entry(6.0), vec_entry(20.0), fleet_entry(8.0)]

@@ -96,6 +96,52 @@ def test_best_prior_memoized_takes_the_max_across_entries():
     assert trajectory.best_prior_memoized(baseline) == 400.0
 
 
+# -- bars anchored on deleted baselines ------------------------------------
+
+
+def test_rebased_bars_anchor_on_the_deleted_baselines_history():
+    """Bars whose same-run baseline was deleted keep its strength: they
+    anchor on the best recorded value of that baseline, and entries
+    recorded after the deletion (which lack it) never move them."""
+    baseline = [
+        scaling_entry(300.0, "c1"),
+        {
+            "kind": "explore_scaling",
+            "modes": {"explore": {"configs_per_sec": 9_000.0}},
+        },
+        {
+            "kind": "explore_pruned_vectorized",
+            "modes": {"scalar_pruned": {"configs_per_sec": 170.0}},
+        },
+        {
+            "kind": "explore_pruned_vectorized",
+            "modes": {"scalar_pruned": {"configs_per_sec": 150.0}},
+        },
+        {
+            "kind": "explore_pruned_vectorized",
+            "modes": {"fused_lazy": {"configs_per_sec": 3_000.0}},
+        },
+        {"kind": "campaign_fleet_columnar", "seconds_materialize": 2.5},
+        {"kind": "campaign_fleet_columnar", "seconds_materialize": 2.4},
+        {"kind": "campaign_fleet_columnar", "seconds_off": 1.0},
+    ]
+    assert trajectory.vectorized_bar(baseline) == pytest.approx(3_000.0)
+    assert trajectory.fused_lazy_bar(baseline) == pytest.approx(850.0)
+    # Seconds: the best prior value is the lowest one.
+    assert trajectory.fleet_lazy_seconds_bar(baseline) == pytest.approx(0.48)
+    assert trajectory.fused_lazy_bar([]) is None
+    assert trajectory.fleet_lazy_seconds_bar([]) is None
+
+
+def test_tracked_trajectory_keeps_every_rebased_bar_active():
+    """The committed snapshot still carries the deleted baselines, so no
+    re-based bar silently turns into a first-run no-op."""
+    tracked = trajectory.load_trajectory(REPO_ROOT / "BENCH_explore.json")
+    assert trajectory.vectorized_bar(tracked) is not None
+    assert trajectory.fused_lazy_bar(tracked) is not None
+    assert trajectory.fleet_lazy_seconds_bar(tracked) is not None
+
+
 # -- append_entry semantics ------------------------------------------------
 
 

@@ -33,7 +33,6 @@ from repro.explore import (
     SweepExecutor,
     explore,
     load_builtin,
-    run_campaign,
 )
 from repro.explore.catalog import LINKS, resolve_link
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, LinkModel
@@ -194,8 +193,8 @@ def test_campaign_process_backend_round_trips():
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
 
 
-def test_run_campaign_convenience_and_lookup():
-    result = run_campaign(build_fleet()[:2], name="mini")
+def test_campaign_run_name_and_lookup():
+    result = Campaign(build_fleet()[:2], name="mini").run()
     assert result.name == "mini"
     assert result["vr-16cam@25GbE"].n_evaluated == 15
     with pytest.raises(KeyError, match="no scenario"):

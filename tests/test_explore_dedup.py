@@ -342,12 +342,13 @@ def test_dedup_group_with_identical_links_reuses_too():
 
 
 def test_states_many_requires_prefix_eligible_model():
-    from repro.explore.incremental import PrefixEvaluator
+    """Shared pre-finalize states exist only for stock cost semantics: a
+    custom evaluate() has no well-defined state to share."""
+    from repro.explore.incremental import evaluate_chunk_states
 
     class Custom(EnergyCostModel):
         def evaluate(self, config, pass_rates=None):  # pragma: no cover
             return super().evaluate(config, pass_rates)
 
-    evaluator = PrefixEvaluator(Custom(RF_BACKSCATTER))
-    with pytest.raises(ConfigurationError, match="states_many"):
-        evaluator.states_many([])
+    with pytest.raises(ConfigurationError, match="stock batch cost semantics"):
+        evaluate_chunk_states(Custom(RF_BACKSCATTER), None, [])

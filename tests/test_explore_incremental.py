@@ -1,10 +1,11 @@
 """Prefix-memoized evaluation, streaming engine, lower-bound pruning.
 
-The correctness gate of the streaming engine: incremental + chunked +
+The correctness gate of the streaming engine: memoized + chunked +
 pruned exploration must be *byte-identical* (same rows, same order,
 same values) to the brute-force serial engine on the paper's scenarios,
-and the prefix walk must agree bit-for-bit with from-scratch cost-model
-evaluation on randomized pipelines, orders, and pass-rate overrides.
+and the columnar memoized walk must agree bit-for-bit with from-scratch
+cost-model evaluation on randomized pipelines, orders, and pass-rate
+overrides.
 """
 
 import gc
@@ -20,7 +21,7 @@ from repro.core.cost import EnergyCostModel, ThroughputCostModel
 from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import (
-    PrefixEvaluator,
+    BatchPrefixEvaluator,
     Scenario,
     SweepExecutor,
     count_configs,
@@ -29,10 +30,12 @@ from repro.explore import (
     explore_brute_force,
     iter_configs,
     lower_bound_depth_hook,
-    supports_prefix_evaluation,
     throughput_depth_bounds,
+    uses_stock_batch_semantics,
 )
+from repro.explore.engine import iter_evaluation_chunks
 from repro.explore.incremental import evaluate_chunk
+from repro.explore.result import cost_row
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, LinkModel
 from repro.vr.scenarios import build_vr_pipeline
 
@@ -131,9 +134,8 @@ def test_prefix_evaluator_matches_from_scratch_throughput(seed):
     configs = list(iter_configs(pipeline))
     orders = [configs, list(reversed(configs)), rng.sample(configs, len(configs))]
     for order in orders:
-        evaluator = PrefixEvaluator(model)
-        for config in order:
-            got = evaluator.evaluate(config)
+        evaluator = BatchPrefixEvaluator(model)
+        for config, got in zip(order, evaluator.evaluate_many(order)):
             want = model.evaluate(config)
             # Bit-identical, not approx: the walk replays the same ops.
             assert got.compute_fps == want.compute_fps
@@ -156,9 +158,8 @@ def test_prefix_evaluator_matches_from_scratch_energy(seed):
     configs = list(iter_configs(pipeline))
     for pass_rates in overrides_pool:
         for order in (configs, rng.sample(configs, len(configs))):
-            evaluator = PrefixEvaluator(model, pass_rates)
-            for config in order:
-                got = evaluator.evaluate(config)
+            evaluator = BatchPrefixEvaluator(model, pass_rates)
+            for config, got in zip(order, evaluator.evaluate_many(order)):
                 want = model.evaluate(config, pass_rates)
                 assert got.total_energy == want.total_energy
                 assert got.block_energies == want.block_energies
@@ -188,10 +189,10 @@ def test_prefix_evaluator_resets_between_pipelines():
     rng = random.Random(11)
     a, b = random_pipeline(rng, 3), random_pipeline(rng, 4)
     model = EnergyCostModel(LinkModel(name="l", raw_bps=1e6, tx_energy_per_bit=1e-9))
-    evaluator = PrefixEvaluator(model)
+    evaluator = BatchPrefixEvaluator(model)
     interleaved = [c for pair in zip(iter_configs(a), iter_configs(b)) for c in pair]
     for config in interleaved:
-        got = evaluator.evaluate(config)
+        (got,) = evaluator.evaluate_many([config])
         want = model.evaluate(config)
         assert got.total_energy == want.total_energy
         assert got.active_seconds == want.active_seconds
@@ -209,52 +210,57 @@ def test_prefix_evaluator_falls_back_for_custom_models():
             )
 
     link = LinkModel(name="l", raw_bps=1e6)
-    assert supports_prefix_evaluation(ThroughputCostModel(link))
-    assert supports_prefix_evaluation(EnergyCostModel(link))
-    assert not supports_prefix_evaluation(Halved(link))
-    assert not supports_prefix_evaluation(object())
+    assert uses_stock_batch_semantics(ThroughputCostModel(link))
+    assert uses_stock_batch_semantics(EnergyCostModel(link))
+    assert not uses_stock_batch_semantics(Halved(link))
+    assert not uses_stock_batch_semantics(object())
 
     pipeline = random_pipeline(random.Random(3), 3)
     model = Halved(link)
-    evaluator = PrefixEvaluator(model)
-    for config in iter_configs(pipeline):
-        assert evaluator.evaluate(config).compute_fps == model.evaluate(config).compute_fps
+    configs = list(iter_configs(pipeline))
+    chunks = iter_evaluation_chunks(model, iter(configs))
+    costs = [cost for chunk in chunks for cost in chunk]
+    for config, got in zip(configs, costs, strict=True):
+        assert got.compute_fps == model.evaluate(config).compute_fps
 
 
 def test_prefix_evaluator_rejects_pass_rates_for_throughput():
     with pytest.raises(ConfigurationError):
-        PrefixEvaluator(ThroughputCostModel(LinkModel(name="l", raw_bps=1.0)), {"A": 0.5})
+        BatchPrefixEvaluator(
+            ThroughputCostModel(LinkModel(name="l", raw_bps=1.0)), {"A": 0.5}
+        )
 
 
 def test_invalid_trusted_config_raises_pipeline_error():
     pipeline = random_pipeline(random.Random(5), 2)
     config = PipelineConfig.trusted(pipeline, ("no-such-platform",))
-    evaluator = PrefixEvaluator(ThroughputCostModel(LinkModel(name="l", raw_bps=1.0)))
+    evaluator = BatchPrefixEvaluator(
+        ThroughputCostModel(LinkModel(name="l", raw_bps=1.0))
+    )
     with pytest.raises(PipelineError):
-        evaluator.evaluate(config)
+        evaluator.evaluate_many([config])
 
 
 @pytest.mark.parametrize("domain", ["throughput", "energy"])
 def test_evaluator_stays_correct_after_a_failing_config(domain):
-    """A mid-walk exception must not leave a stale memoized path behind:
-    later evaluations on the same evaluator stay bit-identical."""
+    """A mid-walk exception must not leave stale state behind: later
+    evaluations on the same evaluator stay bit-identical."""
     rng = random.Random(17)
     pipeline = random_pipeline(rng, 3)
     link = LinkModel(name="l", raw_bps=1e6, tx_energy_per_bit=1e-9)
     model = (
         ThroughputCostModel(link) if domain == "throughput" else EnergyCostModel(link)
     )
-    evaluator = PrefixEvaluator(model)
+    evaluator = BatchPrefixEvaluator(model)
     configs = list(iter_configs(pipeline, include_empty=False))
     deepest = max(configs, key=lambda c: c.n_in_camera)
-    evaluator.evaluate(deepest)  # build a deep memoized path first
+    evaluator.evaluate_many([deepest])  # build the deep plan first
     bad = PipelineConfig.trusted(
         pipeline, (deepest.platforms[0], "no-such-platform")
     )
     with pytest.raises(PipelineError):  # fails mid-walk, past the shared prefix
-        evaluator.evaluate(bad)
-    for config in configs:  # full re-walk, including the old deep path
-        got = evaluator.evaluate(config)
+        evaluator.evaluate_many([deepest, bad])
+    for config, got in zip(configs, evaluator.evaluate_many(configs)):
         want = model.evaluate(config)
         if domain == "throughput":
             assert (got.compute_fps, got.slowest_block) == (
@@ -267,38 +273,53 @@ def test_evaluator_stays_correct_after_a_failing_config(domain):
 
 def test_evaluator_recovers_from_invalid_pass_rate_mid_walk():
     """The non-KeyError mid-walk failure (a bad pass-rate override)
-    must also invalidate the memoized path."""
+    raises a PipelineError naming the block — from the evaluator, and
+    from explore() serially and on a process pool — and leaves the
+    evaluator usable for configurations that stop short of it."""
     rng = random.Random(19)
     pipeline = random_pipeline(rng, 3)
-    model = EnergyCostModel(LinkModel(name="l", raw_bps=1e6, tx_energy_per_bit=1e-9))
-    evaluator = PrefixEvaluator(model, {pipeline.blocks[2].name: 2.0})
+    link = LinkModel(name="l", raw_bps=1e6, tx_energy_per_bit=1e-9)
+    model = EnergyCostModel(link)
+    bad_block = pipeline.blocks[2].name
+    evaluator = BatchPrefixEvaluator(model, {bad_block: 2.0})
     configs = list(iter_configs(pipeline, include_empty=False))
     deepest = max(configs, key=lambda c: c.n_in_camera)
-    with pytest.raises(PipelineError):  # bad override hit at block 2
-        evaluator.evaluate(deepest)
+    with pytest.raises(PipelineError, match=repr(bad_block)):  # hit at block 2
+        evaluator.evaluate_many([deepest])
     shallow = [c for c in configs if c.n_in_camera <= 2]
-    for config in shallow:  # still fine below the faulty block
-        got = evaluator.evaluate(config)
+    # Still fine below the faulty block.
+    for config, got in zip(shallow, evaluator.evaluate_many(shallow)):
         want = model.evaluate(config, evaluator.pass_rates)
         assert got.total_energy == want.total_energy
         assert got.active_seconds == want.active_seconds
+    scenario = Scenario(
+        name="bad-rate", pipeline=pipeline, link=link, domain="energy",
+        pass_rates={bad_block: 2.0},
+    )
+    for executor in (None, SweepExecutor(workers=2, backend="process")):
+        with pytest.raises(PipelineError, match=repr(bad_block)):
+            explore(scenario, executor=executor)
 
 
 def test_label_cache_handles_shared_implementation_objects():
     """One Implementation object registered on two blocks must still
-    yield each block's own name in slowest_block (bit-identity)."""
+    yield each block's own name in slowest_block (bit-identity), on the
+    chunk fold and on the cohort walk."""
     shared = Implementation("cpu", fps=10.0)
     fast = Implementation("cpu", fps=100.0)
     b1 = Block(name="B1", output_bytes=10.0, implementations={"cpu": shared})
     b2 = Block(name="B2", output_bytes=5.0, implementations={"cpu": shared})
     b0 = Block(name="B0", output_bytes=20.0, implementations={"cpu": fast})
     pipeline = InCameraPipeline(name="shared", sensor_bytes=40.0, blocks=(b0, b1, b2))
-    model = ThroughputCostModel(LinkModel(name="l", raw_bps=1e6))
-    evaluator = PrefixEvaluator(model)
-    for config in iter_configs(pipeline):
-        got = evaluator.evaluate(config)
-        want = model.evaluate(config)
-        assert got.slowest_block == want.slowest_block
+    link = LinkModel(name="l", raw_bps=1e6)
+    model = ThroughputCostModel(link)
+    configs = list(iter_configs(pipeline))
+    for config, got in zip(configs, BatchPrefixEvaluator(model).evaluate_many(configs)):
+        assert got.slowest_block == model.evaluate(config).slowest_block
+    scenario = Scenario(name="shared", pipeline=pipeline, link=link)
+    assert json.dumps(explore(scenario).rows) == json.dumps(
+        explore_brute_force(scenario).rows
+    )
 
 
 # -- byte-identical engine gate (acceptance) ------------------------------
@@ -336,6 +357,10 @@ def test_faceauth_streaming_byte_identical_to_brute_force(executor):
 
 
 def test_custom_model_scenarios_still_byte_identical():
+    """Custom models — an overridden evaluate(), or customized steps
+    behind the stock evaluate() — give explore(), the brute-force
+    oracle and the model's own evaluate() the same rows."""
+
     class Halved(ThroughputCostModel):
         def evaluate(self, config):
             cost = super().evaluate(config)
@@ -346,10 +371,42 @@ def test_custom_model_scenarios_still_byte_identical():
                 slowest_block=cost.slowest_block,
             )
 
-    scenario = fig10_scenario(model=Halved(ETHERNET_25G))
-    assert json.dumps(explore(scenario).rows) == json.dumps(
-        explore_brute_force(scenario).rows
-    )
+    class HalvedLink(ThroughputCostModel):
+        def finalize(self, state, config, communication_fps=None):
+            cost = super().finalize(state, config, communication_fps)
+            return type(cost)(
+                config=cost.config,
+                compute_fps=cost.compute_fps,
+                communication_fps=cost.communication_fps / 2,
+                slowest_block=cost.slowest_block,
+            )
+
+    class DoubledBlockEnergy(EnergyCostModel):
+        def extend_state(self, state, block, impl, pass_rates=None):
+            rate, energies, active = super().extend_state(
+                state, block, impl, pass_rates
+            )
+            name, energy = energies[-1]
+            return (rate, energies[:-1] + ((name, 2 * energy),), active)
+
+    scenarios = [
+        fig10_scenario(model=Halved(ETHERNET_25G)),
+        fig10_scenario(model=HalvedLink(ETHERNET_25G)),
+        faceauth_scenario(model=DoubledBlockEnergy(RF_BACKSCATTER)),
+    ]
+    for scenario in scenarios:
+        model = scenario.cost_model()
+        own = [
+            cost_row(scenario, model.evaluate(config, scenario.pass_rates))
+            if scenario.domain == "energy"
+            else cost_row(scenario, model.evaluate(config))
+            for config in scenario.iter_configs()
+        ]
+        rows = explore(scenario).rows
+        assert json.dumps(rows) == json.dumps(own), type(model).__name__
+        assert json.dumps(explore_brute_force(scenario).rows) == json.dumps(
+            own
+        ), type(model).__name__
 
 
 # -- lower-bound depth pruning -------------------------------------------

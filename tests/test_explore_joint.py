@@ -13,6 +13,7 @@ from repro.core.pipeline import InCameraPipeline
 from repro.core.report import JOINT_SUMMARY_COLUMNS, joint_fleet_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import (
+    Campaign,
     JointCandidate,
     JointCandidateSink,
     JointFleetScenario,
@@ -26,7 +27,6 @@ from repro.explore import (
     joint_candidates,
     load_builtin,
     member_demand_bps,
-    run_campaign,
     search_joint_assignment,
     shared_capacity_prefix_pruner,
     shared_capacity_suffix_bounds,
@@ -370,7 +370,7 @@ def test_joint_result_weighted_completion_defaults_to_fleet_weights():
 
 
 def test_weighted_completion_seconds_validates_and_averages():
-    campaign = run_campaign([build_member("cam0"), build_member("cam1")])
+    campaign = Campaign([build_member("cam0"), build_member("cam1")]).run()
     uniform = campaign.weighted_completion_seconds()
     by_hand = sum(run.wall_seconds for run in campaign) / len(campaign)
     assert uniform == pytest.approx(by_hand)
@@ -417,9 +417,7 @@ def test_weighted_completion_policy_validates_weights():
 def test_weighted_completion_policy_runs_a_campaign():
     members = [build_member("cam0"), build_member("cam1")]
     solo = [explore(member) for member in members]
-    campaign = run_campaign(
-        members, chunk_size=3, policy="weighted_completion"
-    )
+    campaign = Campaign(members).run(chunk_size=3, policy="weighted_completion")
     for member, result in zip(members, solo):
         assert json.dumps(campaign[member.name].result.rows) == json.dumps(
             result.rows

@@ -1,8 +1,8 @@
 """The columnar batch evaluation core (`repro.explore.vectorized`).
 
 Unit coverage for the pieces the invariant suite exercises end-to-end:
-the batch-capability probes and their subclass-override matrix, the
-``evaluation=`` knob and path report, :class:`BatchRows` laziness and
+the stock-semantics probe and its subclass-override matrix, the path
+report, :class:`BatchRows` laziness and
 columnar metrics, the columnar sink folds (``add_batch`` ==  scalar
 ``add``, including NaN positions and ties), the partial prefix cache,
 and the error surfaces of every entry point.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.block import Block, Implementation
@@ -23,7 +24,6 @@ from repro.explore import (
     CallbackSink,
     MemorySink,
     ParetoSink,
-    PrefixEvaluator,
     PrefixStateCache,
     ResultSink,
     Scenario,
@@ -32,21 +32,13 @@ from repro.explore import (
     TopKSink,
     evaluation_path,
     explore,
-    supports_batch_evaluation,
+    explore_brute_force,
     uses_stock_batch_semantics,
 )
-from repro.explore.engine import iter_evaluation_chunks
 from repro.explore.result import ParetoFrontier, cost_row
 from repro.explore.sink import uses_columnar_writes
-from repro.explore.vectorized import (
-    BatchChunkStates,
-    BatchRows,
-    batch_prefix_evaluator,
-    np,
-)
+from repro.explore.vectorized import BatchChunkStates
 from repro.hw.network import LinkModel
-
-pytestmark = pytest.mark.skipif(np is None, reason="numpy unavailable")
 
 
 def build_pipeline(n_blocks: int = 3) -> InCameraPipeline:
@@ -92,15 +84,15 @@ def build_scenario(**overrides) -> Scenario:
 
 class _ScalarOnlyOverride(ThroughputCostModel):
     """Customizes a scalar step without its batch counterpart: the stock
-    batch kernel would silently bypass it."""
+    batch kernel would silently bypass it, so it is costed per config."""
 
     def extend_state(self, state, block, impl):
         return super().extend_state(state, block, impl)
 
 
 class _MatchedOverride(ThroughputCostModel):
-    """Customizes a scalar step and its batch counterpart: batch-capable,
-    but the state shapes are its own business."""
+    """Customizes a scalar step and its batch counterpart: the state
+    shapes are its own business, so it is costed per config."""
 
     def extend_state(self, state, block, impl):
         return super().extend_state(state, block, impl)
@@ -110,7 +102,8 @@ class _MatchedOverride(ThroughputCostModel):
 
 
 class _BatchOnlyOverride(ThroughputCostModel):
-    """A faster batch kernel with stock scalar semantics: eligible."""
+    """A custom batch kernel behind stock scalar semantics: costed per
+    config through the stock evaluate()."""
 
     def extend_state_batch(self, state, block, impls, choices):
         return super().extend_state_batch(state, block, impls, choices)
@@ -121,58 +114,59 @@ class _CustomEvaluate(ThroughputCostModel):
         return super().evaluate(config)
 
 
+_OVERRIDES = (
+    _ScalarOnlyOverride,
+    _MatchedOverride,
+    _BatchOnlyOverride,
+    _CustomEvaluate,
+)
+
+
 def test_probes_on_stock_models():
     for model in (ThroughputCostModel(LINK), EnergyCostModel(LINK)):
-        assert supports_batch_evaluation(model)
         assert uses_stock_batch_semantics(model)
 
 
 def test_probes_on_override_matrix():
-    assert not supports_batch_evaluation(_ScalarOnlyOverride(LINK))
-    assert supports_batch_evaluation(_MatchedOverride(LINK))
-    assert supports_batch_evaluation(_BatchOnlyOverride(LINK))
-    assert not supports_batch_evaluation(_CustomEvaluate(LINK))
-    # Any override at all disqualifies the stock-shape shortcuts.
-    for model in (
-        _ScalarOnlyOverride(LINK),
-        _MatchedOverride(LINK),
-        _BatchOnlyOverride(LINK),
-        _CustomEvaluate(LINK),
-    ):
+    # Any override at all sends the model to per-config evaluate().
+    for override in _OVERRIDES:
+        model = override(LINK)
         assert not uses_stock_batch_semantics(model)
-    assert not supports_batch_evaluation(object())
+        scenario = build_scenario(model=model, link=None)
+        assert evaluation_path(scenario) == "scalar-scratch"
+        assert evaluation_path(scenario, SweepExecutor(workers=2)) == "scalar-scratch"
     assert not uses_stock_batch_semantics(object())
 
 
 def test_batch_prefix_evaluator_dispatch():
-    assert batch_prefix_evaluator(_ScalarOnlyOverride(LINK)) is None
-    assert isinstance(
-        batch_prefix_evaluator(ThroughputCostModel(LINK)), BatchPrefixEvaluator
-    )
-    with pytest.raises(ConfigurationError, match="not batch-capable"):
-        BatchPrefixEvaluator(_ScalarOnlyOverride(LINK))
+    stock = BatchPrefixEvaluator(ThroughputCostModel(LINK))
+    assert isinstance(stock, BatchPrefixEvaluator)
+    for override in (_ScalarOnlyOverride, _BatchOnlyOverride, _CustomEvaluate):
+        with pytest.raises(ConfigurationError, match="stock batch cost semantics"):
+            BatchPrefixEvaluator(override(LINK))
     with pytest.raises(ConfigurationError, match="pass_rates only apply"):
         BatchPrefixEvaluator(ThroughputCostModel(LINK), pass_rates={"B0": 0.5})
 
 
 def test_matched_override_refuses_cohort_enumeration():
-    evaluator = BatchPrefixEvaluator(_MatchedOverride(LINK))
     with pytest.raises(ConfigurationError, match="stock batch cost semantics"):
-        next(evaluator.iter_scenario_batches(build_scenario()))
+        BatchPrefixEvaluator(_MatchedOverride(LINK))
 
 
 def test_matched_override_still_folds_chunks_bit_identically():
-    scenario = build_scenario()
-    model = _MatchedOverride(LINK)
-    configs = list(scenario.iter_configs())
-    batch = BatchPrefixEvaluator(model)
-    scalar = PrefixEvaluator(model)
-    got = [cost_row(scenario, c) for c in batch.evaluate_many(configs)]
-    want = [cost_row(scenario, scalar.evaluate(c)) for c in configs]
-    assert json.dumps(got) == json.dumps(want)
+    """Every override shape explores bit-identically to its own
+    evaluate(), serially and chunked on a pool."""
+    for override in _OVERRIDES:
+        model = override(LINK)
+        scenario = build_scenario(model=model, link=None)
+        want = [cost_row(scenario, model.evaluate(c)) for c in scenario.iter_configs()]
+        pool = SweepExecutor(workers=2, backend="thread", chunk_size=5)
+        for executor in (None, pool):
+            got = explore(scenario, executor).rows
+            assert json.dumps(got) == json.dumps(want), override.__name__
 
 
-# -- the evaluation= knob and path report --------------------------------
+# -- the path report -----------------------------------------------------
 
 
 def test_evaluation_path_values():
@@ -181,7 +175,6 @@ def test_evaluation_path_values():
     # Parallel stock runs ship CohortShard descriptors, never pickled
     # config chunks.
     assert evaluation_path(scenario, SweepExecutor(workers=2)) == "batch-shard"
-    assert evaluation_path(scenario, evaluation="scalar") == "scalar-memoized"
     # Per-config filtering (a custom prune hook) fuses into the cohort
     # walk as an emission-time filter — and shard mode resolves it
     # driver-side, so parallel filtered runs still shard.
@@ -193,31 +186,41 @@ def test_evaluation_path_values():
     pruned = build_scenario(auto_prune=True, auto_prune_configs=True)
     assert evaluation_path(pruned) == "batch-cohort-pruned"
     assert evaluation_path(pruned, SweepExecutor(workers=2)) == "batch-shard"
-    # A batch-capable model off the stock shapes still chunks.
+    # A model off the stock semantics is costed per config.
     matched = build_scenario(model=_MatchedOverride(LINK), link=None)
-    assert evaluation_path(matched) == "batch-chunk"
-    assert evaluation_path(matched, SweepExecutor(workers=2)) == "batch-chunk"
-
-
-def test_evaluation_mode_validation():
-    scenario = build_scenario()
-    with pytest.raises(ConfigurationError, match="evaluation must be one of"):
-        explore(scenario, evaluation="bogus")
-    with pytest.raises(ConfigurationError, match="evaluation must be one of"):
-        evaluation_path(scenario, evaluation="bogus")
-    with pytest.raises(ConfigurationError, match="batch-capable cost model"):
-        iter_evaluation_chunks(
-            _ScalarOnlyOverride(LINK), iter(()), evaluation="batch"
-        )
+    assert evaluation_path(matched) == "scalar-scratch"
+    # Inside a dedup campaign a scenario with a compute key shares
+    # states; one without (a pre-built model, pruning) runs solo.
+    assert evaluation_path(scenario, dedup=True) == "batch-dedup"
+    assert evaluation_path(pruned, dedup=True) == "batch-cohort-pruned"
+    assert evaluation_path(matched, dedup=True) == "scalar-scratch"
+    with pytest.raises(ConfigurationError, match="dedup must be True or False"):
+        evaluation_path(scenario, dedup="materialize")
+    # The report takes exactly five values.
+    paths = {
+        evaluation_path(s, executor, dedup=dedup)
+        for s in (scenario, filtered, pruned, matched)
+        for executor in (None, SweepExecutor(workers=2))
+        for dedup in (False, True)
+    }
+    assert paths == {
+        "batch-cohort",
+        "batch-cohort-pruned",
+        "batch-shard",
+        "batch-dedup",
+        "scalar-scratch",
+    }
 
 
 def test_explore_modes_agree_on_rows():
     scenario = build_scenario()
-    auto = explore(scenario)
-    forced = explore(scenario, evaluation="batch")
-    scalar = explore(scenario, evaluation="scalar")
-    assert json.dumps(auto.rows) == json.dumps(scalar.rows)
-    assert json.dumps(forced.rows) == json.dumps(scalar.rows)
+    oracle = json.dumps(explore_brute_force(scenario).rows)
+    for executor in (
+        None,
+        SweepExecutor(workers=2, backend="thread", chunk_size=5),
+        SweepExecutor(workers=2, backend="process"),
+    ):
+        assert json.dumps(explore(scenario, executor).rows) == oracle
 
 
 # -- BatchRows -----------------------------------------------------------
@@ -247,7 +250,7 @@ def test_batch_rows_materialize_lazily():
 
 def test_batch_rows_match_scalar_rows_and_columns():
     scenario = build_scenario()
-    scalar = explore(scenario, evaluation="scalar")
+    scalar = explore_brute_force(scenario)
     rows = [row for batch in scenario_batches(scenario) for row in batch.rows()]
     assert json.dumps(rows) == json.dumps(scalar.rows)
     position = 0
@@ -267,7 +270,7 @@ def test_energy_batch_columns_match_scalar_rows():
         domain="energy", target_fps=None, energy_budget_j=2e-5,
         pass_rates={"B0": 0.4},
     )
-    scalar = explore(scenario, evaluation="scalar")
+    scalar = explore_brute_force(scenario)
     evaluator = BatchPrefixEvaluator(
         scenario.cost_model(), pass_rates=scenario.pass_rates
     )
@@ -297,13 +300,13 @@ def test_chunked_cohorts_respect_chunk_size():
     batches = scenario_batches(scenario, chunk_size=5)
     assert all(len(batch) <= 5 for batch in batches)
     rows = [row for batch in batches for row in batch.rows()]
-    assert json.dumps(rows) == json.dumps(explore(scenario, evaluation="scalar").rows)
+    assert json.dumps(rows) == json.dumps(explore_brute_force(scenario).rows)
 
 
 def test_cohorts_honor_depth_pruning_and_include_empty():
     pruned = build_scenario(auto_prune=True)
     rows = [row for batch in scenario_batches(pruned) for row in batch.rows()]
-    assert json.dumps(rows) == json.dumps(explore(pruned, evaluation="scalar").rows)
+    assert json.dumps(rows) == json.dumps(explore_brute_force(pruned).rows)
     no_empty = build_scenario(include_empty=False)
     depths = [batch.depth for batch in scenario_batches(no_empty)]
     assert 0 not in depths
@@ -482,7 +485,7 @@ def test_prefix_state_cache_width_cap_disables_itself_safely():
     rows = [cost_row(scenario, c) for c in evaluator.evaluate_many(configs)]
     assert cache.hits == cache.misses == 0
     assert cache.width_capped > 0  # every lookup fell off the cap
-    assert json.dumps(rows) == json.dumps(explore(scenario, evaluation="scalar").rows)
+    assert json.dumps(rows) == json.dumps(explore_brute_force(scenario).rows)
 
 
 def test_prefix_state_cache_stats_snapshot():
@@ -505,8 +508,3 @@ def test_prefix_state_cache_stats_snapshot():
     )
     assert capped.stats["width_capped"] == capped.width_capped > 0
 
-
-def test_prefix_cache_ignored_for_custom_batch_models():
-    cache = PrefixStateCache()
-    evaluator = BatchPrefixEvaluator(_MatchedOverride(LINK), prefix_cache=cache)
-    assert evaluator.prefix_cache is None
