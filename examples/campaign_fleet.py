@@ -11,24 +11,22 @@ keep all workers busy, per-scenario results are byte-identical to solo
 runs, and the summary report answers the fleet question (which products
 are feasible, with which design, at what cost) in one table.
 
-Also demonstrates the streaming consumption path: ``iter_runs()`` under
-the shortest-scenario-first policy prints each scenario's verdict *the
-moment its last chunk lands* — a dashboard needs no drained fleet — and
-the export-only re-run (CSV sinks, ``collect=False``) streams every row
-to disk while the online Pareto frontier keeps ``pareto_size`` exact
+Also demonstrates the streaming consumption path: ``iter_runs()`` over
+the campaign's round-robin interleave prints each scenario's verdict
+*the moment its last chunk lands* — a dashboard needs no drained fleet —
+and the export-only re-run (CSV sinks, ``collect=False``) streams every
+row to disk while the online Pareto frontier keeps ``pareto_size`` exact
 with no result caches in memory: the memory profile of a million-config
 fleet is the chunk window, not the design-space size.
 
-The final section shows the adaptive campaign layer on a
-generator-built fleet: a :class:`~repro.explore.FleetSpec` (two codec
-entries x four link tiers x a pass-rate variant) expands to a
-dedup-heavy fleet that runs under the ``adaptive_latency`` policy —
-chunk scheduling driven by *measured* per-chunk latencies fed back
-through the policy's ``observe`` channel — with ``dedup=True`` riding
-the lazy columnar group finalize: each dedup cell costs one evaluation
-pass and one multi-link broadcast close (``cache_stats`` reports the
-skipped evaluations and the per-group materialization accounting; rows
-stay byte-identical to solo runs either way).
+The final section shows campaign dedup on a generator-built fleet: a
+:class:`~repro.explore.FleetSpec` (two codec entries x four link tiers x
+a pass-rate variant) expands to a dedup-heavy fleet that runs with
+``dedup=True`` riding the lazy columnar group finalize: each dedup cell
+costs one evaluation pass and one multi-link broadcast close
+(``cache_stats`` reports the skipped evaluations and the per-group
+materialization accounting; rows stay byte-identical to solo runs
+either way).
 
 Run:
     PYTHONPATH=src python examples/campaign_fleet.py
@@ -80,8 +78,9 @@ def main() -> None:
     library.print()
 
     # One pool for the whole fleet, consumed streamingly: each scenario
-    # reports the moment it completes (shortest design spaces first),
-    # long before the biggest one drains.
+    # reports the moment it completes (round-robin finishes the
+    # scenarios with the fewest chunks first), long before the biggest
+    # one drains.
     fleet = catalog.build_all()
     campaign = Campaign(fleet, name="builtin-fleet")
     executor = SweepExecutor(workers=4, backend="thread")
@@ -92,9 +91,9 @@ def main() -> None:
     # batch-cohort-pruned once lower-bound pruning fuses in).
     paths = sorted({evaluation_path(s, executor) for s in fleet})
     print(f"\nEvaluation path(s) under the fleet executor: {', '.join(paths)}")
-    print("Streaming fleet (shortest scenario first):")
+    print("Streaming fleet (in completion order):")
     runs = []
-    for run in campaign.iter_runs(executor, policy="shortest_scenario_first"):
+    for run in campaign.iter_runs(executor):
         runs.append(run)
         metric = "total_fps" if run.scenario.domain == "throughput" else "total_energy_j"
         unit = "FPS" if metric == "total_fps" else "J/frame"
@@ -135,13 +134,12 @@ def main() -> None:
             "frontiers match the collected run exactly)."
         )
 
-    # The adaptive campaign layer on a generator-built dedup-heavy
-    # fleet: a compact FleetSpec (two codec entries x four link tiers x
-    # a 0.7 pass-rate variant on the energy entry) expands to twelve
-    # campaign-legal scenarios in three dedup cells — each cell shares
-    # ONE evaluation pass, closed for all its links by a single
-    # multi-link broadcast finalize, scheduled by measured chunk
-    # latencies instead of count_configs estimates.
+    # Campaign dedup on a generator-built dedup-heavy fleet: a compact
+    # FleetSpec (two codec entries x four link tiers x a 0.7 pass-rate
+    # variant on the energy entry) expands to twelve campaign-legal
+    # scenarios in three dedup cells — each cell shares ONE evaluation
+    # pass, closed for all its links by a single multi-link broadcast
+    # finalize.
     spec = FleetSpec(
         entries=("compression-throughput", "compression-energy"),
         links=("25g", "400g", "wifi", "low-power"),
@@ -152,13 +150,11 @@ def main() -> None:
     for scenario in sweep:
         path = evaluation_path(scenario, executor, dedup=True)
         print(f"  {scenario.name}: {path}")
-    result = Campaign(sweep, name="link-sweep").run(
-        executor, policy="adaptive_latency", dedup=True
-    )
+    result = Campaign(sweep, name="link-sweep").run(executor, dedup=True)
     stats = result.cache_stats
     total = stats["evaluations_computed"] + stats["evaluations_skipped"]
     print(
-        f"\nLink sweep under adaptive_latency + dedup: {len(sweep)} scenarios, "
+        f"\nLink sweep with dedup: {len(sweep)} scenarios, "
         f"{total} configs costed with {stats['evaluations_computed']} "
         f"evaluations ({stats['evaluations_skipped']} skipped — "
         f"{total / stats['evaluations_computed']:.1f}x fewer)."
@@ -168,13 +164,6 @@ def main() -> None:
             f"Dedup group {leader}: {group['states_evaluated']} states "
             f"evaluated once closed {group['member_rows_closed']} member "
             f"rows; {group['rows_materialized']} materialized."
-        )
-    pc = stats["prefix_cache"]
-    if pc is not None and "hits" in pc:
-        print(
-            f"Fleet-shared prefix cache: {pc['hits']} hits / "
-            f"{pc['misses']} misses ({pc['entries']} entries, "
-            f"{pc['width_capped']} cohorts over the width cap)."
         )
     result.to_table().print()
 

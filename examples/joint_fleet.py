@@ -23,9 +23,7 @@ Shown here:
   per-member demand, and each member's share of the capacity;
 * the export-only fast path (``collect=False``): candidates stream
   through :class:`~repro.explore.JointCandidateSink` with frontier
-  tracking off, byte-identical optimum at a fraction of the cost;
-* the weighted completion-time objective over the member campaign
-  (``weights=`` + the ``weighted_completion`` scheduling policy).
+  tracking off, byte-identical optimum at a fraction of the cost.
 
 Run:
     PYTHONPATH=src python examples/joint_fleet.py
@@ -99,19 +97,6 @@ def main() -> None:
         f"\ncollect=False reproduces the optimum exactly "
         f"(choice {streamed.best_choice}, "
         f"min {streamed.best_fleet_fps:.3g} FPS) with no collected rows."
-    )
-
-    # The weighted-completion-time objective: weight the fleet, run the
-    # member campaign under the WSPT policy, and report the weighted
-    # mean completion time alongside the joint assignment.
-    weighted = replace(
-        contended, weights=tuple(range(1, len(contended.members) + 1))
-    )
-    result = explore_joint(weighted, policy="weighted_completion")
-    print(
-        f"Weighted fleet (weights {weighted.weights}): weighted mean "
-        f"completion {result.weighted_completion_seconds():.4f}s over "
-        f"the member campaign."
     )
 
 

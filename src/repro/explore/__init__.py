@@ -19,9 +19,8 @@ turns that exercise into one reusable engine:
 * :mod:`.vectorized` — :class:`BatchPrefixEvaluator`, the engine's one
   memoized walk: depth cohorts fold as numpy struct-of-arrays states
   with lazily materialized rows (bit-identical to from-scratch
-  evaluation), plus :class:`PrefixStateCache`, trie-keyed partial
-  prefix dedup across a fleet's scenarios; :mod:`.incremental` holds
-  the chunk entry points process pools call;
+  evaluation); :mod:`.incremental` holds the chunk entry points process
+  pools call;
 * :mod:`.prune` — sound lower-bound pruning derived from a scenario's
   constraint: whole depths (``Scenario(..., auto_prune=True)``) and
   per-config subtrees within surviving depths
@@ -40,11 +39,8 @@ turns that exercise into one reusable engine:
   (``dedup=True`` shares link-independent compute states across a
   fleet), ``iter_runs`` streaming with ``max_pending_runs``
   backpressure, plus the fleet summary report;
-* :mod:`.scheduling` — the campaign chunk-scheduling policies
-  (round-robin, shortest-first, priority-weighted, the
-  measured-latency-driven :class:`AdaptiveLatency`, and the
-  WSPT :class:`WeightedCompletionTime`) and the ``observe`` feedback
-  channel that reports every measured chunk latency back to them;
+* :mod:`.scheduling` — :class:`SchedulingPolicy`, the campaign's one
+  fixed round-robin chunk interleave;
 * :mod:`.joint` — :func:`explore_joint`, the joint-fleet domain: N
   member scenarios share one uplink of fixed capacity, feasibility
   couples them through aggregate demand, and the max-min-FPS joint
@@ -73,16 +69,7 @@ from repro.explore.campaign import (
     ScenarioRun,
     scenario_compute_key,
 )
-from repro.explore.scheduling import (
-    SCHEDULING_POLICIES,
-    AdaptiveLatency,
-    PriorityWeighted,
-    RoundRobin,
-    SchedulingPolicy,
-    ShortestScenarioFirst,
-    WeightedCompletionTime,
-    resolve_policy,
-)
+from repro.explore.scheduling import SchedulingPolicy
 from repro.explore.catalog import (
     CATALOG,
     CatalogEntry,
@@ -122,7 +109,6 @@ from repro.explore.vectorized import (
     BatchPrefixEvaluator,
     BatchRows,
     CohortShard,
-    PrefixStateCache,
     iter_scenario_shards,
 )
 from repro.explore.prune import (
@@ -154,7 +140,6 @@ from repro.explore.sink import (
 )
 
 __all__ = [
-    "AdaptiveLatency",
     "BatchPrefixEvaluator",
     "BatchRows",
     "CATALOG",
@@ -180,21 +165,15 @@ __all__ = [
     "ParetoSink",
     "PipelineCostCache",
     "PrefixPruner",
-    "PrefixStateCache",
-    "PriorityWeighted",
     "PruneHook",
     "ResultSink",
-    "RoundRobin",
-    "SCHEDULING_POLICIES",
     "Scenario",
     "ScenarioCatalog",
     "ScenarioRun",
     "SchedulingPolicy",
-    "ShortestScenarioFirst",
     "SweepExecutor",
     "TopK",
     "TopKSink",
-    "WeightedCompletionTime",
     "best_row",
     "compute_fps_prefix_pruner",
     "count_configs",
@@ -214,7 +193,6 @@ __all__ = [
     "member_demand_bps",
     "pareto_filter",
     "register_scenario",
-    "resolve_policy",
     "scenario_compute_key",
     "search_joint_assignment",
     "shared_capacity_prefix_pruner",

@@ -5,14 +5,10 @@ service faces *fleets* of them — every camera product, link tier and
 power budget is its own scenario. Running N solo ``explore()`` calls
 costs N pools and serializes the fleet; a :class:`Campaign` shards all
 scenarios across **one** :class:`~repro.explore.executor.SweepExecutor`
-by interleaving their configuration chunks through ``imap`` under a
-pluggable :class:`~repro.explore.scheduling.SchedulingPolicy`
-(round-robin by default; policies live in
-:mod:`repro.explore.scheduling` and the driver feeds every collected
-chunk's *measured* evaluation latency back through their ``observe``
-channel — :class:`~repro.explore.scheduling.AdaptiveLatency` schedules
-on it), so every worker stays busy until the whole fleet is done and a
-campaign of N scenarios costs one pool, not N.
+by interleaving their configuration chunks through ``imap`` in one
+fixed round-robin order (:class:`~repro.explore.scheduling.
+SchedulingPolicy`), so every worker stays busy until the whole fleet is
+done and a campaign of N scenarios costs one pool, not N.
 
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
@@ -50,17 +46,15 @@ and genuinely idles) until the consumer pulls the next run.
 
 Correctness contract: chunks are tagged with their scenario and each is
 folded by a chunk-local columnar evaluator
-(:func:`~repro.explore.incremental.evaluate_chunk`; only the optional
-fleet-shared prefix cache, whose states are link-independent and
-fingerprint-keyed, crosses scenarios), or costed per configuration
-through the model's own ``evaluate()`` for models without stock cost
-semantics, and ``imap`` returns results in submission order —
+(:func:`~repro.explore.incremental.evaluate_chunk`), or costed per
+configuration through the model's own ``evaluate()`` for models without
+stock cost semantics, and ``imap`` returns results in submission order —
 so each scenario's evaluations land in its own enumeration order and
 are byte-identical to a solo ``explore()`` of the same scenario,
 regardless of worker count or how the fleet was interleaved (tests
-compare them byte for byte). Scheduling policies only reorder *which
-scenario's* chunk is submitted next, never the chunks within one
-scenario, so every builtin policy preserves that identity.
+compare them byte for byte). The schedule only decides *which
+scenario's* chunk is submitted next, never the order of the chunks
+within one scenario.
 
 Streaming contract: :meth:`Campaign.iter_runs` yields each
 :class:`ScenarioRun` the moment its last chunk lands — a dashboard
@@ -119,26 +113,11 @@ from repro.explore.result import (
     domain_frontier,
 )
 from repro.explore.scenario import Scenario
+from repro.explore.scheduling import SchedulingPolicy
 from repro.explore.vectorized import (
     BatchChunkStates,
     BatchRows,
-    PrefixStateCache,
     iter_scenario_shards,
-)
-
-# Scheduling policies grew into their own module (repro.explore.
-# scheduling) when the measured-latency feedback channel landed; the
-# re-exports keep every existing `from repro.explore.campaign import
-# RoundRobin`-style import working.
-from repro.explore.scheduling import (
-    SCHEDULING_POLICIES,  # noqa: F401  (re-exported API)
-    AdaptiveLatency,  # noqa: F401  (re-exported API)
-    PriorityWeighted,  # noqa: F401  (re-exported API)
-    RoundRobin,
-    SchedulingPolicy,
-    ShortestScenarioFirst,  # noqa: F401  (re-exported API)
-    observe_policy,
-    resolve_policy,
 )
 from repro.explore.sink import (
     close_sink,
@@ -160,35 +139,25 @@ _MODE_MEMOIZED = "memoized"
 _MODE_SCRATCH = "scratch"
 _MODE_STATES = "states"
 
-#: One tagged chunk's spec: (model, pass_rates, mode, prefix_cache).
-#: ``prefix_cache`` is the fleet-shared
-#: :class:`~repro.explore.vectorized.PrefixStateCache` (trie-keyed
-#: partial prefix dedup across scenarios) on serial/thread backends, or
-#: None — process pools would pickle private per-task copies, sharing
-#: nothing, so the driver does not offer it there.
-_ChunkSpec = tuple[Any, "dict[str, float] | None", str, Any]
+#: One tagged chunk's spec: (model, pass_rates, mode).
+_ChunkSpec = tuple[Any, "dict[str, float] | None", str]
 
 
 def _evaluate_tagged_chunk(
     tagged: tuple[int, _ChunkSpec, list[Any]],
-) -> tuple[int, Any, float]:
+) -> tuple[int, Any]:
     """Evaluate one scenario-tagged chunk (module-level for process-pool
     picklability). The tagged item carries *its own* scenario's (model,
-    pass_rates, mode, prefix_cache) spec — not the whole fleet's — so a
-    process backend serializes one model per task, same as solo
-    ``explore()``; the index travels with the results so the collector
-    can route them back to their scenario, and the measured wall-clock
-    evaluation seconds (clocked inside the worker, so pool queueing is
-    excluded) feed the scheduling policy's ``observe`` channel."""
-    index, (model, pass_rates, mode, prefix_cache), configs = tagged
-    begin = time.perf_counter()
+    pass_rates, mode) spec — not the whole fleet's — so a process
+    backend serializes one model per task, same as solo ``explore()``;
+    the index travels with the results so the collector can route them
+    back to their scenario."""
+    index, (model, pass_rates, mode), configs = tagged
     if mode == _MODE_STATES:
-        payload: Any = evaluate_chunk_states(model, pass_rates, configs, prefix_cache)
-    elif mode == _MODE_MEMOIZED:
-        payload = evaluate_chunk(model, pass_rates, configs, prefix_cache)
-    else:
-        payload = [_evaluate_scratch(model, pass_rates, config) for config in configs]
-    return index, payload, time.perf_counter() - begin
+        return index, evaluate_chunk_states(model, pass_rates, configs)
+    if mode == _MODE_MEMOIZED:
+        return index, evaluate_chunk(model, pass_rates, configs)
+    return index, [_evaluate_scratch(model, pass_rates, config) for config in configs]
 
 
 # -- cross-scenario evaluation dedup ------------------------------------
@@ -388,12 +357,11 @@ def _interleave_chunks(
     scenarios: Sequence[Scenario],
     specs: Sequence[_ChunkSpec],
     sizes: Sequence[int],
-    policy: SchedulingPolicy,
     progress: _FleetProgress,
     skip: frozenset[int] = frozenset(),
     shard: Sequence[bool] | None = None,
 ) -> Iterator[tuple[int, _ChunkSpec, list[Any]]]:
-    """One chunk per policy selection: the selected scenario's next
+    """One chunk per round-robin selection: the selected scenario's next
     chunk is yielded (tagged), exhausted scenarios leave the live set,
     and no scenario's enumeration is materialized past its next chunk.
     Emission/exhaustion is recorded in ``progress`` so the collector can
@@ -407,7 +375,7 @@ def _interleave_chunks(
     from the flat index ranges, so a process pool pickles O(1) data per
     chunk instead of per-config tuples. Shard boundaries follow the same
     per-scenario sizes, and both stream shapes flow through the same
-    policy selection — scheduling is unchanged."""
+    selection — scheduling is unchanged."""
     streams = {
         index: (
             iter_scenario_shards(scenario, sizes[index])
@@ -418,15 +386,10 @@ def _interleave_chunks(
         if index not in skip
     }
     live = [index for index in range(len(scenarios)) if index not in skip]
-    policy.start(scenarios)
+    schedule = SchedulingPolicy()
     try:
         while live:
-            index = policy.select(tuple(live))
-            if index not in live:
-                raise ConfigurationError(
-                    f"scheduling policy {getattr(policy, 'name', policy)!r} "
-                    f"selected scenario {index}, not in the live set {live}"
-                )
+            index = schedule.select(tuple(live))
             chunk = next(streams[index], None)
             if chunk is None:
                 live.remove(index)
@@ -541,16 +504,12 @@ class CampaignResult:
         name: str,
         runs: list[ScenarioRun],
         wall_seconds: float,
-        policy: str = RoundRobin.name,
         dedup: bool = False,
-        prefix_cache_stats: dict[str, Any] | None = None,
     ):
         self.name = name
         self.runs = runs
         self.wall_seconds = wall_seconds
-        self.policy = policy
         self.dedup = dedup
-        self.prefix_cache_stats = prefix_cache_stats
 
     @property
     def cache_stats(self) -> dict[str, Any]:
@@ -561,16 +520,9 @@ class CampaignResult:
         costs were finalized from another scenario's shared compute
         states instead of being re-evaluated (zero unless the campaign
         ran with ``dedup=True`` and the fleet shared a compute key —
-        see :func:`scenario_compute_key`). ``prefix_cache`` carries the
-        fleet-shared :class:`~repro.explore.vectorized.PrefixStateCache`
-        counters — hits, misses, entries, and ``width_capped`` (cohorts
-        whose width exceeded the seeding cap and were folded from
-        scratch) — None when the campaign ran without ``dedup=True``,
-        or the explicit ``{"shared": False}`` sentinel on a dedup
-        process pool: process workers would each pickle a *private*
-        trie copy, so nothing is ever shared there and the driver
-        offers no cache at all rather than report counters that never
-        counted shared work.
+        see :func:`scenario_compute_key`). ``prefix_cache`` is always
+        None: whole-key dedup is the one sharing mechanism, and the key
+        stays so readers of this mapping keep working.
 
         ``dedup_groups`` surfaces the lazy finalize accounting per
         dedup group, keyed by leader scenario name:
@@ -611,7 +563,7 @@ class CampaignResult:
             ),
             "evaluations_skipped": sum(run.n_evaluated for run in shared),
             "dedup_groups": groups,
-            "prefix_cache": self.prefix_cache_stats,
+            "prefix_cache": None,
         }
 
     def __len__(self) -> int:
@@ -629,41 +581,6 @@ class CampaignResult:
             f"have {[run.name for run in self.runs]}"
         )
 
-    def weighted_completion_seconds(
-        self, weights: Mapping[str, float] | None = None
-    ) -> float:
-        """Weighted mean completion time of the fleet's scenarios.
-
-        ``sum_i w_i * C_i / sum_i w_i`` where ``C_i`` is scenario *i*'s
-        ``wall_seconds`` — the time from campaign start until its last
-        chunk was collected, i.e. when it streamed out of
-        :meth:`Campaign.iter_runs`. This is the objective the
-        :class:`~repro.explore.scheduling.WeightedCompletionTime`
-        policy (WSPT order) minimizes; weights key on scenario name,
-        scenarios without an entry weigh 1.0, and unknown names are
-        rejected (they would silently never apply).
-        """
-        weights = dict(weights or {})
-        names = {run.name for run in self.runs}
-        unknown = sorted(set(weights) - names)
-        if unknown:
-            raise ConfigurationError(
-                f"completion-time weights for unknown scenarios {unknown}; "
-                f"campaign has {sorted(names)}"
-            )
-        for name, weight in weights.items():
-            if not weight > 0:
-                raise ConfigurationError(
-                    f"weight for {name!r} must be positive, got {weight}"
-                )
-        total = sum(weights.get(run.name, 1.0) for run in self.runs)
-        if total == 0:
-            return 0.0
-        return (
-            sum(weights.get(run.name, 1.0) * run.wall_seconds for run in self.runs)
-            / total
-        )
-
     def summary_rows(self) -> list[dict[str, Any]]:
         return [run.summary_row() for run in self.runs]
 
@@ -672,8 +589,7 @@ class CampaignResult:
         return campaign_summary_table(
             self.summary_rows(),
             title=title or f"campaign {self.name!r} "
-            f"({len(self.runs)} scenarios, {self.policy}, "
-            f"{self.wall_seconds:.3f}s)",
+            f"({len(self.runs)} scenarios, {self.wall_seconds:.3f}s)",
         )
 
 
@@ -841,7 +757,6 @@ class Campaign:
         sinks: Any = None,
         collect: bool = True,
         collect_on_exit: bool = False,
-        policy: Any = None,
         dedup: bool = False,
         max_pending_runs: int | None = None,
         frontier: bool = True,
@@ -851,9 +766,9 @@ class Campaign:
 
         The streaming counterpart of :meth:`run` (which is a drain over
         this iterator): scenarios complete at different times — under
-        :class:`ShortestScenarioFirst` the smallest one finishes while
-        the largest has barely started — and each is yielded (its sink
-        closed and flushed first) without waiting for the fleet to
+        the round-robin interleave a scenario with few chunks finishes
+        while the largest has barely started — and each is yielded (its
+        sink closed and flushed first) without waiting for the fleet to
         drain. Yield order is completion order, not fleet order.
 
         Abandoning the iterator mid-fleet is safe: the executor stream
@@ -880,7 +795,6 @@ class Campaign:
             raise ConfigurationError(
                 f"max_pending_runs must be >= 1, got {max_pending_runs}"
             )
-        policy = resolve_policy(policy)
         scenarios = self.scenarios
         sink_list = self._resolve_sinks(sinks)
         if not collect and sinks is not None:
@@ -905,7 +819,6 @@ class Campaign:
             sink_list,
             collect,
             collect_on_exit,
-            policy,
             PipelineCostCache(scenarios) if dedup else None,
             max_pending_runs,
             frontier,
@@ -918,7 +831,6 @@ class Campaign:
         sink_list: list[Any],
         collect: bool,
         collect_on_exit: bool,
-        policy: SchedulingPolicy,
         cache: PipelineCostCache | None,
         max_pending_runs: int | None,
         track_frontier: bool = True,
@@ -928,20 +840,6 @@ class Campaign:
         scenarios = self.scenarios
         followers = cache.follower_indices if cache is not None else frozenset()
         models = [scenario.cost_model() for scenario in scenarios]
-        # Partial prefix dedup rides the dedup opt-in: one fleet-shared
-        # trie-keyed state cache, offered only where sharing is real —
-        # serial and thread backends see one object; a process pool
-        # would pickle a private copy per task and share nothing (each
-        # worker would prime and query its own trie), so the driver
-        # reports the explicit {"shared": False} sentinel there instead
-        # of counters that never counted shared work.
-        prefix_cache = None
-        prefix_cache_stats: dict[str, Any] | None = None
-        if cache is not None:
-            if executor.is_process:
-                prefix_cache_stats = {"shared": False}
-            else:
-                prefix_cache = PrefixStateCache()
         spec_list: list[_ChunkSpec] = []
         for index, (model, scenario) in enumerate(zip(models, scenarios)):
             if cache is not None and cache.is_shared_leader(index):
@@ -950,14 +848,7 @@ class Campaign:
                 mode = _MODE_MEMOIZED
             else:
                 mode = _MODE_SCRATCH
-            spec_list.append(
-                (
-                    model,
-                    scenario.pass_rates,
-                    mode,
-                    prefix_cache if mode != _MODE_SCRATCH else None,
-                )
-            )
+            spec_list.append((model, scenario.pass_rates, mode))
         specs = tuple(spec_list)
         sizes = [
             self._chunk_size_for(scenario, executor, chunk_size)
@@ -968,13 +859,13 @@ class Campaign:
         # pickled config lists; workers rebuild the rows locally.
         shard_flags = [
             not executor.is_serial and mode != _MODE_SCRATCH
-            for _, _, mode, _ in specs
+            for _, _, mode in specs
         ]
         # Same pause rule as solo explore(): engine-only allocations
         # (the dedup states and finalized costs are engine-owned and
         # acyclic, so the states mode keeps the pause).
         pause = (
-            all(mode != _MODE_SCRATCH for _, _, mode, _ in specs)
+            all(mode != _MODE_SCRATCH for _, _, mode in specs)
             and all(scenario.prune is None for scenario in scenarios)
             and all(sink is None for sink in sink_list)
         )
@@ -1012,7 +903,7 @@ class Campaign:
         order = {scenario.name: i for i, scenario in enumerate(scenarios)}
         error: BaseException | None = None
         interleaved = _interleave_chunks(
-            scenarios, specs, sizes, policy, progress, followers, shard_flags
+            scenarios, specs, sizes, progress, followers, shard_flags
         )
 
         def _window_gate() -> bool:
@@ -1133,8 +1024,7 @@ class Campaign:
                     open_sink(sink, scenarios[index], self._label(index))
                     opened.append(index)
             _enter_pause()
-            for index, payload, seconds in results:
-                observe_policy(policy, index, len(payload), seconds)
+            for index, payload in results:
                 now = time.perf_counter() - start
                 if cache is not None and cache.is_shared_leader(index):
                     # The leader's chunk arrived as pre-finalize states:
@@ -1195,13 +1085,6 @@ class Campaign:
             raise
         finally:
             _exit_pause()
-            # Snapshot the fleet-shared prefix-cache counters (hits,
-            # misses, entries, width-capped rejections) for run() to
-            # surface through CampaignResult.cache_stats — or the
-            # {"shared": False} sentinel on a dedup process pool.
-            self._prefix_cache_stats = (
-                prefix_cache.stats if prefix_cache is not None else prefix_cache_stats
-            )
             # Stop the executor stream first (the pool shuts down after
             # in-flight chunks finish), then the enumerators, then flush
             # every sink not already closed at scenario completion.
@@ -1269,7 +1152,6 @@ class Campaign:
         sinks: Any = None,
         collect: bool = True,
         collect_on_exit: bool = False,
-        policy: Any = None,
         dedup: bool = False,
         frontier: bool = True,
     ) -> CampaignResult:
@@ -1303,11 +1185,6 @@ class Campaign:
         collect_on_exit:
             Run the GC pass deferred by the bulk-accumulation pause
             before returning (see :func:`repro.explore.explore`).
-        policy:
-            The :class:`SchedulingPolicy` interleaving the fleet's
-            chunks — an instance or a builtin name
-            (:data:`SCHEDULING_POLICIES`); default round-robin. Policies
-            reorder scenario completion, never per-scenario results.
         dedup:
             Share link-independent compute-side prefix states across
             scenarios with equal :func:`scenario_compute_key`s (the
@@ -1332,7 +1209,6 @@ class Campaign:
             of answering; collected runs are unaffected (their frontier
             derives lazily from the rows).
         """
-        resolved = resolve_policy(policy)
         start = time.perf_counter()
         runs = list(
             self.iter_runs(
@@ -1341,7 +1217,6 @@ class Campaign:
                 sinks=sinks,
                 collect=collect,
                 collect_on_exit=collect_on_exit,
-                policy=resolved,
                 dedup=dedup,
                 frontier=frontier,
             )
@@ -1353,9 +1228,7 @@ class Campaign:
             name=self.name,
             runs=runs,
             wall_seconds=wall,
-            policy=getattr(resolved, "name", type(resolved).__name__),
             dedup=dedup,
-            prefix_cache_stats=getattr(self, "_prefix_cache_stats", None),
         )
 
     def _label(self, index: int) -> str:

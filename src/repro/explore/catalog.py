@@ -185,9 +185,6 @@ class JointFleetSpec:
         The shared capacity each fleet's aggregate demand must fit;
         None (the default) uses each link's own ``goodput_bps`` — the
         physically shared medium.
-    weights:
-        Optional per-entry completion-time weights, aligned with
-        ``entries`` (forwarded to every fleet).
     overrides:
         Shared factory keyword arguments applied to every member build
         (per-entry defaults still merge underneath them).
@@ -196,7 +193,6 @@ class JointFleetSpec:
     entries: Sequence[str]
     shared_links: Sequence[str | LinkModel]
     capacity_bps: float | None = None
-    weights: Sequence[float] | None = None
     overrides: Mapping[str, Any] | None = None
 
 
@@ -450,9 +446,6 @@ class ScenarioCatalog:
                     name=f"joint@{resolved.name}",
                     members=tuple(members),
                     capacity_bps=capacity,
-                    weights=(
-                        tuple(spec.weights) if spec.weights is not None else None
-                    ),
                 )
             )
         names = [fleet.name for fleet in fleets]

@@ -79,9 +79,9 @@ def uses_stock_batch_semantics(model: Any) -> bool:
     implementation — the one capability probe of the engine.
 
     The columnar fold (:mod:`repro.explore.vectorized`) replicates
-    state arrays across options and the prefix-state cache gathers rows
-    by index, both of which require the stock struct-of-arrays layout
-    and the stock semantics the batch kernels replay. Models passing the
+    state arrays across options and gathers rows by index, which
+    requires the stock struct-of-arrays layout and the stock semantics
+    the batch kernels replay. Models passing the
     probe fold columnar on every path; any other model (a custom
     ``evaluate()``, or customized scalar or batch steps) is costed per
     configuration through its own ``evaluate()``.
@@ -121,7 +121,6 @@ def evaluate_chunk(
     model: ThroughputCostModel | EnergyCostModel,
     pass_rates: dict[str, float] | None,
     configs: Sequence[PipelineConfig],
-    prefix_cache: Any = None,
 ) -> list[ConfigCost | EnergyCost]:
     """Evaluate one contiguous chunk of configurations columnar.
 
@@ -129,21 +128,18 @@ def evaluate_chunk(
     chunks to workers; each chunk gets its own evaluator, so results
     are independent of how the stream was chunked. Both the solo engine
     and the campaign driver's tagged chunks evaluate through this one
-    function, which is why interleaving a fleet (under any scheduling
-    policy) cannot change any scenario's values. The model must have
-    stock cost semantics (see :func:`uses_stock_batch_semantics`).
+    function, which is why interleaving a fleet cannot change any
+    scenario's values. The model must have stock cost semantics (see
+    :func:`uses_stock_batch_semantics`).
 
-    ``prefix_cache`` (an optional
-    :class:`~repro.explore.vectorized.PrefixStateCache`) lets fleet
-    chunks share batched prefix states across scenarios. ``configs``
-    may also be a :class:`~repro.explore.vectorized.CohortShard`
+    ``configs`` may also be a :class:`~repro.explore.vectorized.CohortShard`
     descriptor instead of a config sequence: workers then regenerate
     the rows locally from the flat indices (O(depth) array work,
     nothing per-row pickled).
     """
     from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
 
-    evaluator = BatchPrefixEvaluator(model, pass_rates, prefix_cache=prefix_cache)
+    evaluator = BatchPrefixEvaluator(model, pass_rates)
     if isinstance(configs, CohortShard):
         return evaluator.evaluate_shard(configs)
     return evaluator.evaluate_many(configs)
@@ -153,7 +149,6 @@ def evaluate_chunk_states(
     model: ThroughputCostModel | EnergyCostModel,
     pass_rates: dict[str, float] | None,
     configs: Sequence[PipelineConfig],
-    prefix_cache: Any = None,
 ) -> Any:
     """The chunk's pre-finalize states (module-level for process-pool
     picklability) — the dedup counterpart of :func:`evaluate_chunk`:
@@ -173,7 +168,7 @@ def evaluate_chunk_states(
     """
     from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
 
-    evaluator = BatchPrefixEvaluator(model, pass_rates, prefix_cache=prefix_cache)
+    evaluator = BatchPrefixEvaluator(model, pass_rates)
     if isinstance(configs, CohortShard):
         return evaluator.states_shard(configs)
     return evaluator.states_chunk(configs)

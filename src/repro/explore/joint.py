@@ -32,27 +32,22 @@ and can only raise the member's rate.
 
 The objective is fleet-level: maximize the *minimum member FPS* over
 joint assignments whose aggregate demand fits the capacity (the
-max-min fairness point); the weighted-mean-completion-time objective
-over ``iter_runs`` lands alongside as
-:meth:`~repro.explore.campaign.CampaignResult.weighted_completion_seconds`
-plus the ``weighted_completion`` scheduling policy.
+max-min fairness point).
 
 Machinery reuse, not re-enumeration
 -----------------------------------
 
 Phase 1 evaluates every member's solo design space through one
-:class:`~repro.explore.campaign.Campaign` — the chunk interleaver, any
-:class:`~repro.explore.scheduling.SchedulingPolicy`, and (with
-``dedup=True``) the cross-member evaluation dedup + fleet-shared
-:class:`~repro.explore.vectorized.PrefixStateCache`: members sharing a
-pipeline hit the lazy columnar group-finalize path and are costed
-once. Member rows are therefore byte-identical to solo ``explore()``
-runs by the campaign's standing contract. Phase 2 runs the outer DFS
-over per-member candidates with the sound shared-capacity lower-bound
-pruner from :mod:`repro.explore.prune` (level = member index, choice =
-candidate index): a joint prefix is cut exactly when its committed
-demand plus every remaining member's *cheapest* candidate demand
-already overflows the capacity.
+:class:`~repro.explore.campaign.Campaign` — the round-robin chunk
+interleaver and (with ``dedup=True``) the cross-member evaluation
+dedup: members sharing a pipeline hit the lazy columnar group-finalize
+path and are costed once. Member rows are therefore byte-identical to
+solo ``explore()`` runs by the campaign's standing contract. Phase 2
+runs the outer DFS over per-member candidates with the sound
+shared-capacity lower-bound pruner from :mod:`repro.explore.prune`
+(level = member index, choice = candidate index): a joint prefix is
+cut exactly when its committed demand plus every remaining member's
+*cheapest* candidate demand already overflows the capacity.
 
 The byte-identity contract extends here: a joint fleet whose capacity
 is at least :meth:`JointFleetScenario.solo_demand_bps` (every member
@@ -100,18 +95,11 @@ class JointFleetScenario:
     capacity_bps:
         The shared uplink capacity in bits/second that the members'
         aggregate demand must fit.
-    weights:
-        Optional per-member completion-time weights (aligned with
-        ``members``) for the weighted-mean-completion-time objective;
-        forwarded to
-        :meth:`~repro.explore.campaign.CampaignResult.weighted_completion_seconds`
-        and usable as ``policy=WeightedCompletionTime(fleet.weight_map())``.
     """
 
     name: str
     members: tuple[Scenario, ...]
     capacity_bps: float
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
@@ -144,27 +132,6 @@ class JointFleetScenario:
                 f"capacity_bps must be a positive finite number, got "
                 f"{self.capacity_bps!r}"
             )
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(self.weights))
-            if len(self.weights) != len(self.members):
-                raise ConfigurationError(
-                    f"weights must align with members "
-                    f"({len(self.members)}), got {len(self.weights)}"
-                )
-            for name, weight in zip(names, self.weights):
-                if not weight > 0:
-                    raise ConfigurationError(
-                        f"weight for {name!r} must be positive, got {weight}"
-                    )
-
-    def weight_map(self) -> dict[str, float] | None:
-        """The weights keyed by member name (None when unweighted)."""
-        if self.weights is None:
-            return None
-        return {
-            member.name: weight
-            for member, weight in zip(self.members, self.weights)
-        }
 
     def solo_demand_bps(self) -> float:
         """Capacity sufficient for *any* simultaneous member choices.
@@ -445,15 +412,6 @@ class JointFleetResult:
             return None
         return self.best_demand_bps / self.capacity_bps
 
-    def weighted_completion_seconds(
-        self, weights: Mapping[str, float] | None = None
-    ) -> float:
-        """The fleet's weighted mean completion time over the member
-        campaign, defaulting to the fleet's own weights."""
-        if weights is None:
-            weights = self.fleet.weight_map()
-        return self.campaign.weighted_completion_seconds(weights)
-
     def summary_rows(self) -> list[dict[str, Any]]:
         """One report row per member (see
         :func:`repro.core.report.joint_fleet_summary_table`)."""
@@ -507,19 +465,17 @@ def explore_joint(
     executor: SweepExecutor | None = None,
     chunk_size: int | None = None,
     *,
-    policy: Any = None,
-    dedup: bool | str = True,
+    dedup: bool = True,
     collect: bool = True,
 ) -> JointFleetResult:
     """Explore a joint fleet: solo member sweeps, then the joint search.
 
     Phase 1 runs every member through one
     :class:`~repro.explore.campaign.Campaign` on the shared ``executor``
-    under ``policy`` — ``dedup=True`` (the default here: joint fleets
-    are a dedup-heavy shape, N cameras often sharing a pipeline) shares
-    compute-side states across members via the campaign's
-    ``PipelineCostCache`` / fleet-shared ``PrefixStateCache``. Member
-    rows are byte-identical to solo ``explore()`` runs.
+    — ``dedup=True`` (the default here: joint fleets are a dedup-heavy
+    shape, N cameras often sharing a pipeline) shares compute-side
+    states across members via the campaign's ``PipelineCostCache``.
+    Member rows are byte-identical to solo ``explore()`` runs.
 
     Phase 2 compresses each member's feasible rows to per-depth
     candidates (:func:`joint_candidates`) and finds the max-min-FPS
@@ -546,7 +502,6 @@ def explore_joint(
     campaign = Campaign(list(fleet.members), name=fleet.name).run(
         executor,
         chunk_size,
-        policy=policy,
         dedup=dedup,
         sinks=sinks,
         collect=collect,

@@ -1,5 +1,5 @@
 """Joint-fleet invariants: solo degeneration, pruner soundness, and
-executor/policy independence.
+executor independence.
 
 Three properties over seeded random shared-uplink fleets:
 
@@ -13,10 +13,10 @@ Three properties over seeded random shared-uplink fleets:
   brute-force :func:`itertools.product` oracle over the members' *full*
   feasible row sets, on both the feasibility verdict and the max-min
   optimum.
-* **Joint results are executor- and policy-independent.** The best
-  assignment, optimum and member rows are identical across
-  serial/thread/process executors and every registered scheduling
-  policy (selections reorder only *between* members).
+* **Joint results are executor-independent.** The best assignment,
+  optimum and member rows are identical across serial/thread/process
+  executors (the round-robin schedule reorders only *between*
+  members).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import pytest
 
 from repro.datasets.rng import make_rng
 from repro.explore import (
-    SCHEDULING_POLICIES,
     JointFleetScenario,
     SweepExecutor,
     explore,
@@ -157,15 +156,12 @@ def test_joint_identical_across_executors_and_policies(gen, seed):
     if seed % 5 == 0:  # process pools are expensive; sample them
         executors.append(SweepExecutor(workers=2, backend="process"))
     for executor in executors:
-        for policy in sorted(SCHEDULING_POLICIES):
-            candidate = explore_joint(
-                fleet, executor, chunk_size=3, policy=policy
-            )
-            assert candidate.best_choice == reference.best_choice, policy
-            assert candidate.best_fleet_fps == reference.best_fleet_fps
-            assert candidate.best_demand_bps == reference.best_demand_bps
-            assert candidate.counters == reference.counters
-            rows = json.dumps(
-                [candidate.campaign[m.name].result.rows for m in fleet.members]
-            )
-            assert rows == reference_rows, (executor, policy)
+        candidate = explore_joint(fleet, executor, chunk_size=3)
+        assert candidate.best_choice == reference.best_choice, executor
+        assert candidate.best_fleet_fps == reference.best_fleet_fps
+        assert candidate.best_demand_bps == reference.best_demand_bps
+        assert candidate.counters == reference.counters
+        rows = json.dumps(
+            [candidate.campaign[m.name].result.rows for m in fleet.members]
+        )
+        assert rows == reference_rows, executor

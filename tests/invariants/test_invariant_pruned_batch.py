@@ -18,8 +18,8 @@ properties:
   where workers rebuild cohorts from flat index ranges) matches the
   serial run byte for byte, pruned or hooked, thread or process pool;
 * **shard campaigns == solo**: a fleet with pruned members run through
-  one shared parallel executor matches solo runs under EVERY builtin
-  scheduling policy.
+  one shared parallel executor — thread or process pool — matches solo
+  runs under the round-robin schedule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import replace
 import pytest
 
 from repro.explore import (
-    SCHEDULING_POLICIES,
     Campaign,
     SweepExecutor,
     evaluation_path,
@@ -135,11 +134,13 @@ def test_shard_campaign_equals_solo_under_every_policy(gen, seed):
     """A fleet with pruned members through one shared parallel
     executor: shard-eligible scenarios stream CohortShard descriptors,
     the rest stream config chunks, and every scenario's rows match its
-    solo explore() under every builtin scheduling policy."""
+    solo explore() on a thread pool and (sampled) a process pool."""
     fleet = gen.fleet(seed)
     solo = {scenario.name: _rows_json(explore(scenario)) for scenario in fleet}
-    executor = SweepExecutor(workers=2, backend="thread")
-    for policy in sorted(SCHEDULING_POLICIES):
-        result = Campaign(fleet).run(executor, chunk_size=3, policy=policy)
+    executors = [SweepExecutor(workers=2, backend="thread")]
+    if seed % 5 == 0:  # process pools are expensive; sample them
+        executors.append(SweepExecutor(workers=2, backend="process"))
+    for executor in executors:
+        result = Campaign(fleet).run(executor, chunk_size=3)
         for run in result:
-            assert _rows_json(run.result) == solo[run.name], (seed, policy, run.name)
+            assert _rows_json(run.result) == solo[run.name], (seed, executor, run.name)

@@ -19,8 +19,6 @@ from repro.explore import (
     JointFleetScenario,
     JointFleetSpec,
     Scenario,
-    ShortestScenarioFirst,
-    WeightedCompletionTime,
     best_row,
     explore,
     explore_joint,
@@ -109,16 +107,6 @@ def test_fleet_requires_unique_targeted_throughput_members():
     )
     with pytest.raises(ConfigurationError, match="throughput-domain"):
         JointFleetScenario(name="f", members=(energy,), capacity_bps=1.0)
-
-
-def test_fleet_weights_validated_and_mapped():
-    with pytest.raises(ConfigurationError, match="align with members"):
-        build_fleet(1e6, weights=(1.0,))
-    with pytest.raises(ConfigurationError, match="positive"):
-        build_fleet(1e6, weights=(1.0, 0.0))
-    fleet = build_fleet(1e6, weights=(2.0, 3.0))
-    assert fleet.weight_map() == {"cam0": 2.0, "cam1": 3.0}
-    assert build_fleet(1e6).weight_map() is None
 
 
 def test_solo_demand_and_uncontended():
@@ -357,73 +345,6 @@ def test_campaign_frontier_opt_out_skips_pareto():
     )
 
 
-def test_joint_result_weighted_completion_defaults_to_fleet_weights():
-    fleet = build_fleet(1e9, weights=(3.0, 1.0))
-    result = explore_joint(fleet)
-    assert result.weighted_completion_seconds() == pytest.approx(
-        result.campaign.weighted_completion_seconds({"cam0": 3.0, "cam1": 1.0})
-    )
-    assert result.weighted_completion_seconds({"cam0": 1.0}) >= 0.0
-
-
-# -- CampaignResult.weighted_completion_seconds ---------------------------
-
-
-def test_weighted_completion_seconds_validates_and_averages():
-    campaign = Campaign([build_member("cam0"), build_member("cam1")]).run()
-    uniform = campaign.weighted_completion_seconds()
-    by_hand = sum(run.wall_seconds for run in campaign) / len(campaign)
-    assert uniform == pytest.approx(by_hand)
-    with pytest.raises(ConfigurationError, match="unknown scenarios"):
-        campaign.weighted_completion_seconds({"ghost": 1.0})
-    with pytest.raises(ConfigurationError, match="positive"):
-        campaign.weighted_completion_seconds({"cam0": -1.0})
-    weighted = campaign.weighted_completion_seconds({"cam0": 100.0})
-    assert weighted >= 0.0
-
-
-# -- WeightedCompletionTime policy ----------------------------------------
-
-
-def test_weighted_completion_policy_orders_by_weight_per_config():
-    small = build_member("small", pipeline=build_pipeline(2))
-    large = build_member("large", pipeline=build_pipeline(4))
-    policy = WeightedCompletionTime()
-    policy.start([large, small])
-    # Equal weights degrade to shortest-first order.
-    shortest = ShortestScenarioFirst()
-    shortest.start([large, small])
-    live = [0, 1]
-    assert policy.select(live) == shortest.select(live) == 1
-    # A heavy-enough weight pulls the large scenario ahead.
-    heavy = WeightedCompletionTime({"large": 1e6})
-    heavy.start([large, small])
-    assert heavy.select(live) == 0
-    # Run-to-completion: the selection repeats while the pick is live.
-    assert heavy.select(live) == 0
-    assert heavy.select([1]) == 1
-
-
-def test_weighted_completion_policy_validates_weights():
-    with pytest.raises(ConfigurationError, match="positive"):
-        WeightedCompletionTime({"x": 0.0})
-    with pytest.raises(ConfigurationError, match="default_weight"):
-        WeightedCompletionTime(default_weight=-1.0)
-    policy = WeightedCompletionTime({"ghost": 2.0})
-    with pytest.raises(ConfigurationError, match="unknown scenarios"):
-        policy.start([build_member("cam0")])
-
-
-def test_weighted_completion_policy_runs_a_campaign():
-    members = [build_member("cam0"), build_member("cam1")]
-    solo = [explore(member) for member in members]
-    campaign = Campaign(members).run(chunk_size=3, policy="weighted_completion")
-    for member, result in zip(members, solo):
-        assert json.dumps(campaign[member.name].result.rows) == json.dumps(
-            result.rows
-        )
-
-
 # -- catalog JointFleetSpec ------------------------------------------------
 
 
@@ -462,18 +383,14 @@ def test_build_joint_fleets_validates_spec():
         )
 
 
-def test_build_joint_fleets_capacity_and_weights_forwarded():
+def test_build_joint_fleets_capacity_forwarded():
     catalog = load_builtin()
     entry = catalog.names("throughput")[0]
     spec = JointFleetSpec(
-        entries=(entry,),
-        shared_links=("25g",),
-        capacity_bps=123.0,
-        weights=(2.0,),
+        entries=(entry,), shared_links=("25g",), capacity_bps=123.0
     )
     (fleet,) = catalog.build_joint_fleets(spec)
     assert fleet.capacity_bps == 123.0
-    assert fleet.weights == (2.0,)
 
 
 # -- report ----------------------------------------------------------------

@@ -1,12 +1,7 @@
-"""Adaptive measured-latency scheduling and ``iter_runs`` backpressure.
+"""``iter_runs`` backpressure under the campaign's round-robin schedule.
 
-The acceptance gates of the adaptive campaign layer: the driver feeds
-measured per-chunk evaluation latencies back through the policy
-``observe`` channel, :class:`AdaptiveLatency` turns them into an EWMA
-cost model and rebalances stragglers mid-flight (longest estimated
-remaining time first), pre-feedback custom policies without ``observe``
-keep working, and ``iter_runs(max_pending_runs=)`` genuinely stalls the
-shared executor — no unbounded buffering — while a slow consumer holds
+``iter_runs(max_pending_runs=)`` must genuinely stall the shared
+executor — no unbounded buffering — while a slow consumer holds
 completed runs.
 """
 
@@ -19,161 +14,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.explore import (
-    SCHEDULING_POLICIES,
-    AdaptiveLatency,
     Campaign,
-    RoundRobin,
     Scenario,
-    SchedulingPolicy,
     SweepExecutor,
     explore,
     load_builtin,
-    resolve_policy,
 )
-from repro.explore.scheduling import observe_policy
 
 
 def build_fleet(names=("vr-fig10", "faceauth-energy", "snnap-dvfs")) -> list[Scenario]:
     catalog = load_builtin()
     return [catalog.build(name) for name in names]
-
-
-# -- the observe feedback channel ----------------------------------------
-
-
-def test_driver_feeds_measured_latencies_to_the_policy():
-    """Every collected chunk reports (scenario, n_configs, seconds>=0)
-    through observe(), and the observed config counts add up to exactly
-    the fleet's evaluations."""
-    fleet = build_fleet()
-
-    class Recording(RoundRobin):
-        def __init__(self):
-            super().__init__()
-            self.observed = []
-
-        def observe(self, scenario_id, n_configs, seconds):
-            self.observed.append((scenario_id, n_configs, seconds))
-
-    policy = Recording()
-    result = Campaign(fleet).run(chunk_size=4, policy=policy)
-    assert policy.observed
-    per_scenario = [0] * len(fleet)
-    for scenario_id, n_configs, seconds in policy.observed:
-        assert 0 <= scenario_id < len(fleet)
-        assert n_configs >= 1
-        assert seconds >= 0.0
-        per_scenario[scenario_id] += n_configs
-    assert per_scenario == [run.n_evaluated for run in result]
-
-
-def test_policies_without_observe_still_work():
-    """Duck-typed pre-feedback policies (start/select only) receive no
-    latency feedback and run unchanged."""
-
-    class Legacy:
-        name = "legacy"
-
-        def start(self, scenarios):
-            pass
-
-        def select(self, live):
-            return live[0]
-
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    result = Campaign(fleet).run(policy=Legacy())
-    for run in result:
-        assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
-    observe_policy(Legacy(), 0, 4, 0.1)  # explicitly a no-op, no raise
-
-
-# -- AdaptiveLatency's cost model ----------------------------------------
-
-
-def test_adaptive_latency_prefers_largest_estimated_remaining():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy", "snnap-dvfs"))
-    sizes = [scenario.count_configs() for scenario in fleet]
-    policy = AdaptiveLatency()
-    policy.start(fleet)
-    # No observations yet: uniform rate, so the largest count wins.
-    assert policy.select((0, 1, 2)) == sizes.index(max(sizes))
-
-
-def test_adaptive_latency_rebalances_on_measured_rates():
-    """A scenario measured 100x slower per config overtakes a bigger-by-
-    count scenario: measured feedback beats the static size estimate."""
-    fleet = build_fleet(("vr-fig10", "snnap-dvfs"))  # 15 vs 40 configs
-    policy = AdaptiveLatency(alpha=1.0)
-    policy.start(fleet)
-    assert policy.select((0, 1)) == 1  # by count alone
-    policy.observe(0, 5, 5.0)  # 1.0 s/config measured on the small one
-    policy.observe(1, 20, 0.2)  # 0.01 s/config on the big one
-    # Remaining: 10 * 1.0 = 10 s vs 20 * 0.01 = 0.2 s.
-    assert policy.estimated_remaining_seconds(0) == pytest.approx(10.0)
-    assert policy.estimated_remaining_seconds(1) == pytest.approx(0.2)
-    assert policy.select((0, 1)) == 0  # the measured straggler
-
-
-def test_adaptive_latency_ewma_and_global_fallback():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    policy = AdaptiveLatency(alpha=0.5)
-    policy.start(fleet)
-    policy.observe(0, 10, 1.0)  # rate 0.1
-    policy.observe(0, 10, 3.0)  # rate 0.3 -> EWMA 0.5*0.3 + 0.5*0.1 = 0.2
-    # 20 of vr-fig10's 15 configs observed: remaining clamps at zero
-    # (count_configs is an upper bound under per-config pruning).
-    assert policy.estimated_remaining_seconds(0) == 0.0
-    # Scenario 1 has no observation: it borrows the global EWMA.
-    assert policy.estimated_remaining_seconds(1) == pytest.approx(
-        11 * (0.5 * 0.3 + 0.5 * 0.1)
-    )
-
-
-def test_adaptive_latency_restart_resets_state():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    policy = AdaptiveLatency()
-    policy.start(fleet)
-    policy.observe(0, 15, 10.0)
-    policy.start(fleet)  # reuse across runs
-    assert policy.estimated_remaining_seconds(0) == pytest.approx(15.0)
-
-
-def test_adaptive_latency_validation_and_registry():
-    with pytest.raises(ConfigurationError, match="alpha"):
-        AdaptiveLatency(alpha=0.0)
-    with pytest.raises(ConfigurationError, match="alpha"):
-        AdaptiveLatency(alpha=1.5)
-    assert "adaptive_latency" in SCHEDULING_POLICIES
-    assert isinstance(resolve_policy("adaptive_latency"), AdaptiveLatency)
-
-
-def test_campaign_reports_adaptive_policy_and_matches_solo():
-    fleet = build_fleet()
-    result = Campaign(fleet).run(
-        SweepExecutor(workers=3, backend="thread"),
-        chunk_size=3,
-        policy="adaptive_latency",
-    )
-    assert result.policy == "adaptive_latency"
-    for run in result:
-        assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
-
-
-def test_moved_policies_stay_importable_from_campaign():
-    """The scheduling module split must not break existing imports."""
-    from repro.explore import campaign, scheduling
-
-    for name in (
-        "SchedulingPolicy",
-        "RoundRobin",
-        "ShortestScenarioFirst",
-        "PriorityWeighted",
-        "AdaptiveLatency",
-        "SCHEDULING_POLICIES",
-        "resolve_policy",
-    ):
-        assert getattr(campaign, name) is getattr(scheduling, name)
-    assert issubclass(AdaptiveLatency, SchedulingPolicy)
 
 
 # -- iter_runs backpressure ----------------------------------------------
@@ -189,8 +40,9 @@ def test_slow_consumer_with_max_pending_runs_one_stalls_executor(monkeypatch):
     """Acceptance stress path: a consumer that takes the first run and
     stops must leave the shared pool genuinely idle — chunk submission
     pauses once one scenario is fully fed and unconsumed, so the
-    evaluated-chunk count stays bounded by the first scenario plus the
-    in-flight window slack, not the fleet."""
+    evaluated-chunk count stays bounded by the round-robin cycles that
+    fed the first scenario plus the in-flight window slack, not the
+    fleet."""
     import repro.explore.campaign as campaign_mod
 
     fleet = build_fleet(
@@ -209,7 +61,6 @@ def test_slow_consumer_with_max_pending_runs_one_stalls_executor(monkeypatch):
     iterator = Campaign(fleet).iter_runs(
         executor,
         chunk_size=chunk,
-        policy="shortest_scenario_first",
         max_pending_runs=1,
     )
     first = next(iterator)
@@ -221,10 +72,12 @@ def test_slow_consumer_with_max_pending_runs_one_stalls_executor(monkeypatch):
     after_first = len(calls)
     time.sleep(0.2)
     assert len(calls) == after_first, "executor kept submitting while stalled"
-    # Bounded: the first scenario's own chunks plus at most the window
-    # (2 * workers chunks were already submitted when the gate closed).
+    # Bounded: round-robin feeds every scenario one chunk per cycle, so
+    # the smallest scenario is found exhausted within first_chunks + 1
+    # cycles; at most the window (2 * workers chunks) was in flight when
+    # the gate closed.
     first_chunks = -(-smallest.count_configs() // chunk)
-    assert after_first <= first_chunks + 2 * executor.workers
+    assert after_first <= len(fleet) * (first_chunks + 1) + 2 * executor.workers
     total_chunks = sum(-(-s.count_configs() // chunk) for s in fleet)
     assert after_first < total_chunks  # the fleet did NOT drain
     # Resuming consumption reopens the gate and finishes the fleet with
@@ -239,14 +92,9 @@ def test_max_pending_runs_on_serial_executor_is_exact_lockstep():
     """The serial path evaluates exactly one chunk per pull; the knob
     must not break it (results and completion order unchanged)."""
     fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    runs = list(
-        Campaign(fleet).iter_runs(
-            chunk_size=4, policy="shortest_scenario_first", max_pending_runs=1
-        )
-    )
-    assert [run.name for run in runs] == [
-        s.name for s in sorted(fleet, key=lambda s: s.count_configs())
-    ]
+    runs = list(Campaign(fleet).iter_runs(chunk_size=4, max_pending_runs=1))
+    ungated = Campaign(fleet).iter_runs(chunk_size=4)
+    assert [run.name for run in runs] == [run.name for run in ungated]
     for run in runs:
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
 

@@ -1,10 +1,10 @@
-"""Streaming campaign consumption: ``iter_runs``, scheduling policies,
-and the online Pareto frontier.
+"""Streaming campaign consumption: ``iter_runs``, the round-robin
+schedule, and the online Pareto frontier.
 
 The acceptance gates of the streaming driver: ``iter_runs()`` yields
 each scenario's run the moment its last chunk lands (observably before
 the fleet drains), ``Campaign.run`` results stay byte-identical to solo
-``explore()`` under every builtin scheduling policy, the streamed
+``explore()`` on every executor backend, the streamed
 Pareto frontier under ``collect=False`` equals the collected-mode
 frontier exactly, an abandoned iterator releases the shared executor
 and closes every sink, and a mid-campaign sink failure never corrupts
@@ -20,23 +20,18 @@ import pytest
 
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
-    SCHEDULING_POLICIES,
     Campaign,
     MemorySink,
     ParetoFrontier,
     ParetoSink,
-    PriorityWeighted,
     ResultSink,
-    RoundRobin,
     Scenario,
     SchedulingPolicy,
-    ShortestScenarioFirst,
     SweepExecutor,
     domain_frontier,
     explore,
     load_builtin,
     pareto_filter,
-    resolve_policy,
 )
 
 #: A mixed-size, mixed-domain fleet (ascending design-space sizes:
@@ -168,13 +163,12 @@ def test_iter_runs_yields_before_fleet_drains():
     fleet = build_fleet()
     total = sum(scenario.count_configs() for scenario in fleet)
     sinks = {scenario.name: MemorySink() for scenario in fleet}
-    iterator = Campaign(fleet).iter_runs(
-        chunk_size=4, sinks=sinks, policy="shortest_scenario_first"
-    )
+    iterator = Campaign(fleet).iter_runs(chunk_size=4, sinks=sinks)
     first = next(iterator)
     streamed_so_far = sum(len(sink.rows) for sink in sinks.values())
     assert streamed_so_far < total  # the fleet has NOT drained
-    # Shortest-first: the smallest scenario completes first, fully.
+    # Round-robin over equal-size chunks: the scenario with the fewest
+    # chunks — the smallest — completes first, fully.
     smallest = min(fleet, key=lambda scenario: scenario.count_configs())
     assert first.name == smallest.name
     assert len(sinks[first.name].rows) == first.n_evaluated
@@ -202,12 +196,15 @@ def test_iter_runs_matches_run_byte_for_byte():
 
 
 def test_iter_runs_completion_order_shortest_first():
+    """Round-robin feeds every live scenario one chunk per cycle, so
+    with one chunk size for the fleet the scenarios with fewer chunks
+    run out — and complete — first."""
     fleet = build_fleet()
-    runs = list(Campaign(fleet).iter_runs(policy=ShortestScenarioFirst()))
+    runs = list(Campaign(fleet).iter_runs(chunk_size=4))
     sizes = [run.scenario.count_configs() for run in runs]
     assert sizes == sorted(sizes)
     # run() reassembles fleet order regardless of completion order.
-    result = Campaign(fleet).run(policy="shortest_scenario_first")
+    result = Campaign(fleet).run(chunk_size=4)
     assert [run.name for run in result] == [scenario.name for scenario in fleet]
 
 
@@ -247,7 +244,6 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
         SweepExecutor(workers=2, backend="thread"),
         chunk_size=1,
         sinks=sinks,
-        policy="shortest_scenario_first",
     )
     first = next(iterator)
     assert len(pools) == 1 and not pools[0]._shutdown
@@ -340,27 +336,30 @@ def test_campaign_streamed_frontier_equals_collected_on_catalog():
         assert lean.summary_row()["pareto"] == full.summary_row()["pareto"]
 
 
-# -- scheduling policies -------------------------------------------------
+# -- the round-robin schedule --------------------------------------------
 
 
 def test_run_byte_identical_under_every_builtin_policy():
-    """Acceptance: Campaign.run results stay byte-identical to solo
-    explore() — i.e. to the pre-policy behavior — under every builtin
-    scheduling policy, serial and parallel."""
+    """Acceptance: Campaign.run results under the one round-robin
+    schedule stay byte-identical to solo explore() on every executor
+    backend — serial, thread pool and process pool."""
     fleet = build_fleet()
     solo = {scenario.name: explore(scenario).rows for scenario in fleet}
-    for policy in sorted(SCHEDULING_POLICIES):
-        for executor in (None, SweepExecutor(workers=3, backend="thread")):
-            result = Campaign(fleet).run(executor, chunk_size=2, policy=policy)
-            assert result.policy == policy
-            for run in result:
-                assert json.dumps(run.result.rows) == json.dumps(
-                    solo[run.name]
-                ), (policy, run.name)
+    for executor in (
+        None,
+        SweepExecutor(workers=3, backend="thread"),
+        SweepExecutor(workers=2, backend="process"),
+    ):
+        result = Campaign(fleet).run(executor, chunk_size=2)
+        for run in result:
+            assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
+                executor,
+                run.name,
+            )
 
 
 def test_round_robin_cycles_live_indices():
-    policy = RoundRobin()
+    policy = SchedulingPolicy()
     policy.start([])
     picks = [policy.select([0, 1, 2]) for _ in range(5)]
     assert picks == [0, 1, 2, 0, 1]
@@ -368,69 +367,15 @@ def test_round_robin_cycles_live_indices():
     assert policy.select([0, 2]) == 0
 
 
-def test_priority_weighted_ratio_and_determinism():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    policy = PriorityWeighted({"vr-16cam@25GbE": 3.0}, default_weight=1.0)
-    policy.start(fleet)
-    picks = [policy.select((0, 1)) for _ in range(8)]
-    assert picks.count(0) == 6 and picks.count(1) == 2  # 3:1, smoothly
-    assert picks[0] == 0 and 1 in picks[:4]  # no starvation burst
-    policy.start(fleet)  # restart resets credit: same sequence again
-    assert [policy.select((0, 1)) for _ in range(8)] == picks
-
-
-def test_priority_weighted_validation():
-    with pytest.raises(ConfigurationError, match="positive"):
-        PriorityWeighted({"a": 0.0})
-    with pytest.raises(ConfigurationError, match="default_weight"):
-        PriorityWeighted(default_weight=-1.0)
-    fleet = build_fleet(("vr-fig10",))
-    with pytest.raises(ConfigurationError, match="unknown scenarios"):
-        Campaign(fleet).run(policy=PriorityWeighted({"no-such": 2.0}))
-
-
-def test_resolve_policy_accepts_names_instances_and_ducks():
-    assert isinstance(resolve_policy(None), RoundRobin)
-    assert isinstance(
-        resolve_policy("shortest_scenario_first"), ShortestScenarioFirst
-    )
-    instance = PriorityWeighted()
-    assert resolve_policy(instance) is instance
-    with pytest.raises(ConfigurationError, match="unknown scheduling policy"):
-        resolve_policy("fifo")
-    with pytest.raises(ConfigurationError, match="policy must be"):
-        resolve_policy(42)
-
-
-def test_custom_policy_selecting_dead_scenario_fails_fast():
-    class Broken(SchedulingPolicy):
-        name = "broken"
-
-        def select(self, live):
-            return -1
-
-    fleet = build_fleet(("vr-fig10",))
-    with pytest.raises(ConfigurationError, match="live set"):
-        Campaign(fleet).run(policy=Broken())
-
-
-def test_campaign_result_reports_policy():
-    fleet = build_fleet(("vr-fig10",))
-    result = Campaign(fleet).run(policy="priority_weighted")
-    assert result.policy == "priority_weighted"
-    assert "priority_weighted" in result.to_table().render()
-
-
 def test_single_scenario_fleet_works_under_every_policy():
     scenario = load_builtin().build("faceauth-energy")
     solo = explore(scenario).rows
-    for policy in sorted(SCHEDULING_POLICIES):
-        result = Campaign([scenario]).run(policy=policy)
-        assert json.dumps(result.runs[0].result.rows) == json.dumps(solo)
+    result = Campaign([scenario]).run()
+    assert json.dumps(result.runs[0].result.rows) == json.dumps(solo)
 
 
 def test_policies_compose_with_pruned_scenarios():
-    """Policy interleaving over auto-pruned scenarios: per-scenario
+    """Round-robin interleaving over auto-pruned scenarios: per-scenario
     results still match solo explore() (pruning changes each scenario's
     chunk stream, not the routing)."""
     from dataclasses import replace
@@ -445,6 +390,6 @@ def test_policies_compose_with_pruned_scenarios():
         ),
     ]
     solo = {scenario.name: explore(scenario).rows for scenario in fleet}
-    result = Campaign(fleet).run(chunk_size=2, policy="priority_weighted")
+    result = Campaign(fleet).run(chunk_size=2)
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name])

@@ -24,7 +24,6 @@ from repro.explore import (
     CallbackSink,
     MemorySink,
     ParetoSink,
-    PrefixStateCache,
     ResultSink,
     Scenario,
     SweepExecutor,
@@ -451,60 +450,3 @@ def test_columnar_sinks_match_collected_results_end_to_end():
     frontier = ParetoSink()
     explore(scenario, sink=frontier, collect=False)
     assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto())
-
-
-# -- the partial prefix cache --------------------------------------------
-
-
-def test_prefix_state_cache_validates_max_rows():
-    with pytest.raises(ConfigurationError, match="max_rows"):
-        PrefixStateCache(max_rows=0)
-
-
-def test_prefix_state_cache_hits_on_shared_prefixes():
-    scenario = build_scenario()
-    model = scenario.cost_model()
-    configs = list(scenario.iter_configs())
-    cache = PrefixStateCache()
-    first = BatchPrefixEvaluator(model, prefix_cache=cache)
-    baseline = [cost_row(scenario, c) for c in first.evaluate_many(configs)]
-    assert cache.misses > 0
-    misses = cache.misses
-    second = BatchPrefixEvaluator(model, prefix_cache=cache)
-    again = [cost_row(scenario, c) for c in second.evaluate_many(configs)]
-    assert json.dumps(again) == json.dumps(baseline)
-    assert cache.hits > 0
-    assert cache.misses == misses  # every prefix level was already primed
-
-
-def test_prefix_state_cache_width_cap_disables_itself_safely():
-    scenario = build_scenario()
-    configs = list(scenario.iter_configs())
-    cache = PrefixStateCache(max_rows=1)  # narrower than any level cohort
-    evaluator = BatchPrefixEvaluator(scenario.cost_model(), prefix_cache=cache)
-    rows = [cost_row(scenario, c) for c in evaluator.evaluate_many(configs)]
-    assert cache.hits == cache.misses == 0
-    assert cache.width_capped > 0  # every lookup fell off the cap
-    assert json.dumps(rows) == json.dumps(explore_brute_force(scenario).rows)
-
-
-def test_prefix_state_cache_stats_snapshot():
-    """``stats`` mirrors the live counters as one plain dict (the shape
-    campaigns surface through ``CampaignResult.cache_stats``)."""
-    scenario = build_scenario()
-    configs = list(scenario.iter_configs())
-    cache = PrefixStateCache()
-    assert cache.stats == {"hits": 0, "misses": 0, "entries": 0, "width_capped": 0}
-    BatchPrefixEvaluator(scenario.cost_model(), prefix_cache=cache).evaluate_many(
-        configs
-    )
-    stats = cache.stats
-    assert stats["misses"] == cache.misses > 0
-    assert stats["entries"] > 0
-    assert stats["width_capped"] == 0
-    capped = PrefixStateCache(max_rows=1)
-    BatchPrefixEvaluator(scenario.cost_model(), prefix_cache=capped).evaluate_many(
-        configs
-    )
-    assert capped.stats["width_capped"] == capped.width_capped > 0
-

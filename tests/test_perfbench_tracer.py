@@ -39,3 +39,37 @@ def test_tracer_patches_existing_attributes_and_restores_them():
     assert not tracer._undo
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_tracer_counts_a_traced_dedup_campaign_and_joint_fleet():
+    """Tracing a serial dedup campaign and a default joint fleet runs to
+    the end: every submitted chunk pickles (the tracer counts its
+    bytes), and the campaign and scheduling counters register."""
+    from repro.explore import Campaign, JointFleetScenario, Scenario, explore_joint
+    from repro.hw.network import ETHERNET_25G, WIFI_CLASS, LinkModel
+    from repro.vr.scenarios import build_vr_pipeline
+
+    pipeline = build_vr_pipeline()
+    links = (ETHERNET_25G, WIFI_CLASS, LinkModel("slow", raw_bps=1e8))
+
+    def camera(name, link):
+        return Scenario(name=name, pipeline=pipeline, link=link, target_fps=30.0)
+
+    fleet = [camera(f"vr@{link.name}", link) for link in links]
+    joint = JointFleetScenario(
+        name="joint",
+        members=(camera("cam0", ETHERNET_25G), camera("cam1", ETHERNET_25G)),
+        capacity_bps=ETHERNET_25G.goodput_bps,
+    )
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        root = tracer.begin_query(0)
+        Campaign(fleet).run(dedup=True, collect=False)
+        explore_joint(joint, collect=False)
+        metrics = tracer.end_query(root)
+    finally:
+        tracer.uninstall()
+    assert metrics["campaign.evaluations_skipped"] > 0
+    assert metrics["scheduling.select_calls"] > 0
+    assert metrics["executor.bytes_out"] > 0
