@@ -17,7 +17,10 @@ discards ~97% of the 2.39M configurations before evaluation.
   (the gated metric, mirroring the unpruned trajectory's lazy mode);
 * ``shard[w]``      — ``explore(..., SweepExecutor(w, "process"))``:
   the ``batch-shard`` path, workers rebuilding pruned cohorts locally
-  from flat-index descriptors (the process-pool scaling curve).
+  from flat-index descriptors and returning pre-finalize states (the
+  process-pool scaling curve). Workers never materialize cost objects;
+  this collected run materializes every survivor in the parent, after
+  the parent closes the states under the link.
 
 The in-test acceptance bar requires the lazy fused fold to clear 5x
 the best ``scalar_pruned`` throughput in the session-start trajectory:

@@ -4,9 +4,10 @@ The paper's fleet shape taken to benchmark scale: ONE pipeline evaluated
 at eight link tiers, export-only (``collect=False``) with bounded top-k
 sinks. Two campaigns over the same fleet:
 
-* ``dedup=False``: every member folds its own compute states and its
-  rows become Python cost objects and report dicts, O(rows x members)
-  allocations;
+* ``dedup=False``: every member folds its own compute states, closed
+  lazily under its own link as a group of one — consumers materialize
+  only frontier/heap survivors, so this run differs from the lazy one
+  by the sharing alone;
 * ``dedup=True`` (lazy): the group folds prefix states once, one
   ``finalize_batch_multi`` broadcast closes each shared segment for all
   eight members at once, and consumers materialize only frontier/heap
@@ -20,7 +21,9 @@ campaign and to a solo ``explore()`` fold for every member, and the
 campaign's own accounting showing ``rows_materialized`` a small
 fraction of ``member_rows_closed``. The entry appends to
 ``BENCH_explore.json`` under the ``campaign_fleet_columnar`` kind,
-gated in CI on ``speedup_lazy_vs_off``.
+gated in CI on ``speedup_lazy_vs_off`` — a ratio that now measures
+sharing the fold across links alone, since both campaigns close lazily
+(earlier entries also counted the dedup-off run's per-row objects).
 """
 
 from __future__ import annotations

@@ -139,7 +139,9 @@ def main() -> None:
     # variant on the energy entry) expands to twelve campaign-legal
     # scenarios in three dedup cells — each cell shares ONE evaluation
     # pass, closed for all its links by a single multi-link broadcast
-    # finalize.
+    # finalize. (Without dedup every scenario is a group of one: its
+    # chunks still come back as states and close lazily, only the
+    # sharing goes.)
     spec = FleetSpec(
         entries=("compression-throughput", "compression-energy"),
         links=("25g", "400g", "wifi", "low-power"),

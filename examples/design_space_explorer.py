@@ -107,8 +107,11 @@ def main() -> None:
     # scenario rides (batch-cohort on the stock models serial,
     # batch-cohort-pruned when lower-bound pruning fuses into the
     # columnar walk, batch-shard when a parallel executor ships flat
-    # index ranges instead of pickled configs, scalar-scratch when a
-    # custom model is costed through its own evaluate()).
+    # index ranges instead of pickled configs and gets pre-finalize
+    # states back, scalar-scratch when a custom model is costed through
+    # its own evaluate()). Every columnar path closes its states into
+    # lazy rows in this process, so the summary's "materialized" column
+    # counts the rows the campaign actually turned into objects.
     pool = SweepExecutor(workers=4, backend="thread")
     pruned = replace(
         fleet[1], name="vr-fig10-pruned", auto_prune=True, auto_prune_configs=True

@@ -125,9 +125,8 @@ class OffloadAnalyzer:
                 scenario, executor=self.executor, sink=sink
             ).as_offload_report()
         # Explicit config sequences (lists or generators, as before)
-        # stream through the same columnar chunk fold as the scenario
-        # path (models without stock cost semantics fall back to
-        # per-config evaluate() calls automatically); sink rows are
+        # are costed per config through the model's own evaluate() —
+        # bit-identical to the columnar fold by contract; sink rows are
         # written chunk by chunk as evaluation completes, exactly like
         # explore().
         sink = resolve_sink(sink)

@@ -10,33 +10,41 @@ fixed round-robin order (:class:`~repro.explore.scheduling.
 SchedulingPolicy`), so every worker stays busy until the whole fleet is
 done and a campaign of N scenarios costs one pool, not N.
 
+Chunk contract: every chunk of a scenario with stock cost semantics
+comes back as pre-finalize states
+(:func:`~repro.explore.incremental.evaluate_chunk_states`, a
+:class:`~repro.explore.vectorized.BatchChunkStates`), never as cost
+objects, and :meth:`PipelineCostCache.finalize_group` closes it under
+the scenario's own link into lazy
+:class:`~repro.explore.vectorized.BatchRows` views: one
+``finalize_batch_multi`` broadcast per segment. Consumers (streaming
+stats, columnar sinks) materialize only survivors under
+``collect=False``; collected runs materialize everything in bulk.
+Models without stock cost semantics are costed per configuration
+through their own ``evaluate()``.
+
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
 axis at different links — the design-space-sweep fleet shape) share one
-evaluation pass: the group's leader evaluates pre-finalize compute
-states, and every member's costs are finalized under its own per-depth
-link terms by the :class:`PipelineCostCache`. Because the finalize
-replays exactly the solo evaluation's float operations, per-scenario
-results stay byte-identical to ``dedup=False`` and to solo
-``explore()`` — the invariant suite asserts it over seeded random
-fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
-The group finalize is *columnar and lazy* end to end: each shared
-:class:`~repro.explore.vectorized.BatchChunkStates` segment is closed
-for all members at once by one ``finalize_batch_multi`` broadcast (an
-``(n_members, n_rows)`` sweep of the member link terms) and members
-hand their consumers lazy member-tagged
-:class:`~repro.explore.vectorized.BatchRows` views — under
-``collect=False`` with columnar sinks a fleet of N links materializes
-only frontier/heap survivors, never N x rows Python objects.
+evaluation pass: the group's leader evaluates the states once, and the
+one broadcast closes each segment for every member under its own
+per-depth link terms (an ``(n_members, n_rows)`` sweep). Without
+``dedup=True``, or without a compute key, a scenario is a group of
+one. Because the finalize replays exactly the solo evaluation's float
+operations, per-scenario results stay byte-identical to
+``dedup=False`` and to solo ``explore()`` — the invariant suite
+asserts it over seeded random fleets. :attr:`CampaignResult.
+cache_stats` reports evaluations skipped.
 
-Sharding contract: on a parallel executor, scenarios with stock cost
-semantics stream compact :class:`~repro.explore.vectorized.CohortShard`
-descriptors through the interleaver instead of materialized config
-lists; workers regenerate each chunk's rows locally from the flat
-index ranges (O(depth) array rebuilds), so a process pool pickles a
-few integers per chunk rather than per-config tuples. Results remain
-byte-identical to the materialized stream — the shard decode replays
-enumeration order exactly.
+Sharding contract: on a parallel executor, columnar scenarios stream
+compact :class:`~repro.explore.vectorized.CohortShard` descriptors
+through the interleaver instead of materialized config lists; workers
+regenerate each chunk's rows locally from the flat index ranges
+(O(depth) array rebuilds), so a process pool pickles a few integers per
+chunk rather than per-config tuples, and ships back states rather than
+cost objects. Serial campaigns fold config-list chunks. Results remain
+byte-identical either way — the shard decode replays enumeration order
+exactly.
 
 Backpressure contract: ``iter_runs(max_pending_runs=k)`` bounds how far
 the fleet may be fed into the executor ahead of the consumer — once
@@ -45,10 +53,9 @@ consumed, chunk submission pauses (the pool drains its in-flight window
 and genuinely idles) until the consumer pulls the next run.
 
 Correctness contract: chunks are tagged with their scenario and each is
-folded by a chunk-local columnar evaluator
-(:func:`~repro.explore.incremental.evaluate_chunk`), or costed per
-configuration through the model's own ``evaluate()`` for models without
-stock cost semantics, and ``imap`` returns results in submission order —
+folded by a chunk-local columnar evaluator, or costed per configuration
+through the model's own ``evaluate()`` for models without stock cost
+semantics, and ``imap`` returns results in submission order —
 so each scenario's evaluations land in its own enumeration order and
 are byte-identical to a solo ``explore()`` of the same scenario,
 regardless of worker count or how the fleet was interleaved (tests
@@ -101,7 +108,6 @@ from repro.explore.executor import (
 )
 from repro.explore.incremental import (
     depth_link_cost,
-    evaluate_chunk,
     evaluate_chunk_states,
     uses_stock_batch_semantics,
 )
@@ -130,34 +136,25 @@ from repro.explore.sink import (
 
 # -- chunk plumbing -----------------------------------------------------
 
-#: Chunk evaluation modes carried in a tagged chunk's spec: the columnar
-#: memoized fold for stock cost models, the per-config evaluate() path
-#: for every other model, and the dedup path that returns pre-finalize
-#: states for the collector to close under each member scenario's own
-#: link.
-_MODE_MEMOIZED = "memoized"
-_MODE_SCRATCH = "scratch"
-_MODE_STATES = "states"
-
-#: One tagged chunk's spec: (model, pass_rates, mode).
-_ChunkSpec = tuple[Any, "dict[str, float] | None", str]
+#: One tagged chunk's spec: (model, pass_rates, columnar). Columnar
+#: chunks return pre-finalize states for the collector to close under
+#: each group member's own link; the rest per-config evaluate() costs.
+_ChunkSpec = tuple[Any, "dict[str, float] | None", bool]
 
 
 def _evaluate_tagged_chunk(
-    tagged: tuple[int, _ChunkSpec, list[Any]],
+    tagged: tuple[int, _ChunkSpec, Any],
 ) -> tuple[int, Any]:
     """Evaluate one scenario-tagged chunk (module-level for process-pool
     picklability). The tagged item carries *its own* scenario's (model,
-    pass_rates, mode) spec — not the whole fleet's — so a process
+    pass_rates, columnar) spec — not the whole fleet's — so a process
     backend serializes one model per task, same as solo ``explore()``;
     the index travels with the results so the collector can route them
     back to their scenario."""
-    index, (model, pass_rates, mode), configs = tagged
-    if mode == _MODE_STATES:
-        return index, evaluate_chunk_states(model, pass_rates, configs)
-    if mode == _MODE_MEMOIZED:
-        return index, evaluate_chunk(model, pass_rates, configs)
-    return index, [_evaluate_scratch(model, pass_rates, config) for config in configs]
+    index, (model, pass_rates, columnar), chunk = tagged
+    if columnar:
+        return index, evaluate_chunk_states(model, pass_rates, chunk)
+    return index, [_evaluate_scratch(model, pass_rates, config) for config in chunk]
 
 
 # -- cross-scenario evaluation dedup ------------------------------------
@@ -208,7 +205,7 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
 
 
 class _StateFinalizer:
-    """One dedup member's side of the group finalize: its scenario,
+    """One group member's side of the group finalize: its scenario,
     stock cost model, and per-depth link terms.
 
     The link term comes from the one shared
@@ -220,37 +217,41 @@ class _StateFinalizer:
     scenario's link (the invariant suite compares them byte for byte).
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, model: Any):
         self.scenario = scenario
-        self._model = scenario.cost_model()
+        self._model = model
         self._energy = scenario.domain == "energy"
         self._link_costs: dict[int, Any] = {}  # cut depth -> finalize arg
 
-    def link_cost(self, depth: int, config: Any) -> Any:
+    def link_cost(self, depth: int) -> Any:
         """This scenario's per-depth finalize argument (cached): the
         communication rate (throughput) or (transmit joules, transmit
         seconds) pair (energy) of the cut-depth payload."""
         return depth_link_cost(
-            self._model.link, self._energy, self._link_costs, depth, config
+            self._model.link,
+            self._energy,
+            self._link_costs,
+            self.scenario.pipeline,
+            depth,
         )
 
 
 class PipelineCostCache:
-    """Campaign-level cross-scenario evaluation dedup.
+    """The campaign's finalize groups, and cross-scenario dedup.
 
-    Fleets routinely carry the same pipeline at several links (the
-    design-space sweep shape: one product, every uplink tier); their
-    compute-side costs are link-independent, so evaluating each scenario
-    solo recomputes identical prefix folds once per link. This cache
-    groups a fleet's scenarios by :func:`scenario_compute_key`; each
-    group's *leader* (first in fleet order) evaluates its chunks into
+    Every scenario with stock cost semantics belongs to one group whose
+    *leader* (first in fleet order) evaluates its chunks into
     pre-finalize states (:func:`~repro.explore.incremental.
-    evaluate_chunk_states`), and every member — leader and followers —
-    gets the states closed under its own link terms by
-    :meth:`finalize_group`. Followers never enter the interleaver:
-    their chunks mirror the leader's the moment each leader chunk
-    lands, preserving streaming, per-scenario enumeration order, sinks
-    and export-only mode unchanged.
+    evaluate_chunk_states`); every member gets the states closed under
+    its own link terms by :meth:`finalize_group`. Without dedup a group
+    is its scenario alone. With ``dedup=True`` scenarios sharing a
+    :func:`scenario_compute_key` join one group: fleets routinely carry
+    the same pipeline at several links (the design-space sweep shape),
+    whose compute-side costs are link-independent, so the group folds
+    them once. Followers never enter the interleaver: their chunks
+    mirror the leader's the moment each leader chunk lands, preserving
+    streaming, per-scenario enumeration order, sinks and export-only
+    mode unchanged.
 
     The dedup outcome is surfaced through
     :attr:`CampaignResult.cache_stats`, derived from each run's
@@ -258,30 +259,26 @@ class PipelineCostCache:
     counters to drift.
     """
 
-    def __init__(self, scenarios: Sequence[Scenario]):
+    def __init__(
+        self, scenarios: Sequence[Scenario], models: Sequence[Any], dedup: bool
+    ):
         self.leader_of: dict[int, int] = {}
         self.followers_of: dict[int, list[int]] = {}
+        self._finalizers: dict[int, _StateFinalizer] = {}
         by_key: dict[tuple, int] = {}
-        for index, scenario in enumerate(scenarios):
-            key = scenario_compute_key(scenario)
-            if key is None:
+        for index, (scenario, model) in enumerate(zip(scenarios, models)):
+            if not uses_stock_batch_semantics(model):
                 continue
-            leader = by_key.setdefault(key, index)
+            self._finalizers[index] = _StateFinalizer(scenario, model)
+            key = scenario_compute_key(scenario) if dedup else None
+            leader = index if key is None else by_key.setdefault(key, index)
             if leader != index:
                 self.leader_of[index] = leader
                 self.followers_of.setdefault(leader, []).append(index)
-        self._finalizers: dict[int, _StateFinalizer] = {}
-        for leader, followers in self.followers_of.items():
-            for member in (leader, *followers):
-                self._finalizers[member] = _StateFinalizer(scenarios[member])
 
-    @property
-    def follower_indices(self) -> frozenset[int]:
-        return frozenset(self.leader_of)
-
-    def is_shared_leader(self, index: int) -> bool:
-        """Whether this scenario evaluates states on behalf of a group."""
-        return index in self.followers_of
+    def is_columnar(self, index: int) -> bool:
+        """Whether this scenario's rows close from columnar states."""
+        return index in self._finalizers
 
     def members_of(self, leader: int) -> tuple[int, ...]:
         """The group's member indices, leader first, in fleet order."""
@@ -292,35 +289,33 @@ class PipelineCostCache:
     ) -> list[list[BatchRows]]:
         """Every member's lazy :class:`~repro.explore.vectorized.
         BatchRows` views of one leader chunk, in :meth:`members_of`
-        order — the columnar end of the dedup path.
+        order — the one closer of every columnar campaign chunk.
 
-        Each segment's shared state closes under the whole group's link
-        terms with ONE ``finalize_batch_multi`` broadcast (the per-cell
-        float operations replay each member's scalar finalize exactly,
-        so member rows stay bit-identical to a solo walk), and every
+        Each segment's state closes under the whole group's link terms
+        with ONE ``finalize_batch_multi`` broadcast (the per-cell float
+        operations replay each member's scalar finalize exactly, so
+        member rows stay bit-identical to a solo walk), and every
         member's view shares the segment's choice matrix and
-        compute-side columns by reference. Nothing per-row is
-        materialized here: consumers (columnar sinks, streaming stats)
-        materialize survivors only.
+        compute-side columns by reference, over the member's own
+        pipeline. Nothing per-row is materialized here: consumers
+        (columnar sinks, streaming stats) materialize survivors only.
         """
         members = self.members_of(leader)
         finalizers = [self._finalizers[member] for member in members]
         model = finalizers[0]._model
         energy = payload.energy
         out: list[list[BatchRows]] = [[] for _ in members]
-        for configs, depth, state, choices, names in payload.segments:
-            stack = [
-                finalizer.link_cost(depth, configs[0]) for finalizer in finalizers
-            ]
+        for _pipeline, depth, state, choices, names in payload.segments:
+            stack = [finalizer.link_cost(depth) for finalizer in finalizers]
             columns_stack = model.finalize_batch_multi(state, stack)
-            pipeline = configs[0].pipeline
             for slot, (finalizer, columns) in enumerate(
                 zip(finalizers, columns_stack)
             ):
+                scenario = finalizer.scenario
                 out[slot].append(
                     BatchRows(
-                        finalizer.scenario,
-                        pipeline,
+                        scenario,
+                        scenario.pipeline,
                         depth,
                         names,
                         choices,
@@ -424,11 +419,11 @@ class ScenarioRun:
     states this run was finalized from (None when it evaluated its own
     configurations — always, unless the campaign ran with
     ``dedup=True`` and the fleet shared a compute key).
-    ``n_materialized`` counts the rows lazy dedup finalization actually
+    ``n_materialized`` counts the rows the lazy group finalize actually
     turned into Python objects for this scenario (collected runs
     materialize everything; export-only runs only the best row, the
-    frontier's survivors and heap candidates) — None when the rows
-    never rode the lazy path (no dedup, or no dedup group).
+    frontier's survivors and heap candidates) — None only for models
+    costed per configuration through their own ``evaluate()``.
     """
 
     scenario: Scenario
@@ -819,7 +814,7 @@ class Campaign:
             sink_list,
             collect,
             collect_on_exit,
-            PipelineCostCache(scenarios) if dedup else None,
+            dedup,
             max_pending_runs,
             frontier,
         )
@@ -831,25 +826,20 @@ class Campaign:
         sink_list: list[Any],
         collect: bool,
         collect_on_exit: bool,
-        cache: PipelineCostCache | None,
+        dedup: bool,
         max_pending_runs: int | None,
         track_frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
         """The generator behind :meth:`iter_runs` (argument validation
         stays eager in the caller, before the first ``next()``)."""
         scenarios = self.scenarios
-        followers = cache.follower_indices if cache is not None else frozenset()
         models = [scenario.cost_model() for scenario in scenarios]
-        spec_list: list[_ChunkSpec] = []
-        for index, (model, scenario) in enumerate(zip(models, scenarios)):
-            if cache is not None and cache.is_shared_leader(index):
-                mode = _MODE_STATES
-            elif uses_stock_batch_semantics(model):
-                mode = _MODE_MEMOIZED
-            else:
-                mode = _MODE_SCRATCH
-            spec_list.append((model, scenario.pass_rates, mode))
-        specs = tuple(spec_list)
+        cache = PipelineCostCache(scenarios, models, dedup)
+        columnar = [cache.is_columnar(index) for index in range(len(scenarios))]
+        specs = tuple(
+            (model, scenario.pass_rates, flag)
+            for model, scenario, flag in zip(models, scenarios, columnar)
+        )
         sizes = [
             self._chunk_size_for(scenario, executor, chunk_size)
             for scenario in scenarios
@@ -857,15 +847,12 @@ class Campaign:
         # Cohort sharding on parallel executors: every columnar scenario
         # ships compact (depth, flat-index-range) descriptors instead of
         # pickled config lists; workers rebuild the rows locally.
-        shard_flags = [
-            not executor.is_serial and mode != _MODE_SCRATCH
-            for _, _, mode in specs
-        ]
+        shard_flags = [not executor.is_serial and flag for flag in columnar]
         # Same pause rule as solo explore(): engine-only allocations
-        # (the dedup states and finalized costs are engine-owned and
-        # acyclic, so the states mode keeps the pause).
+        # (states and lazily finalized costs are engine-owned and
+        # acyclic).
         pause = (
-            all(mode != _MODE_SCRATCH for _, _, mode in specs)
+            all(columnar)
             and all(scenario.prune is None for scenario in scenarios)
             and all(sink is None for sink in sink_list)
         )
@@ -885,15 +872,10 @@ class Campaign:
             _StreamingStats(scenario.domain, track_frontier)
             for scenario in scenarios
         ]
-        # Per-scenario lazy-materialization accounting: None where rows
-        # were never lazily closed (no dedup group); dedup group members
-        # count the rows their consumers actually turned into Python
-        # objects.
-        materialized: list[int | None] = [None] * len(scenarios)
-        if cache is not None:
-            for leader in cache.followers_of:
-                for member in cache.members_of(leader):
-                    materialized[member] = 0
+        # Per-scenario lazy-materialization accounting: columnar
+        # scenarios count the rows their consumers actually turned into
+        # Python objects; per-config evaluate() scenarios stay None.
+        materialized: list[int | None] = [0 if flag else None for flag in columnar]
         progress = _FleetProgress(len(scenarios))
         completed_at = [0.0] * len(scenarios)
         start = time.perf_counter()
@@ -903,7 +885,7 @@ class Campaign:
         order = {scenario.name: i for i, scenario in enumerate(scenarios)}
         error: BaseException | None = None
         interleaved = _interleave_chunks(
-            scenarios, specs, sizes, progress, followers, shard_flags
+            scenarios, specs, sizes, progress, frozenset(cache.leader_of), shard_flags
         )
 
         def _window_gate() -> bool:
@@ -925,7 +907,7 @@ class Campaign:
         )
 
         def _absorb(index: int, costs: list[Any], now: float) -> None:
-            """Route one collected (or mirrored) chunk's costs into the
+            """Route one per-config ``evaluate()`` chunk's costs into the
             scenario's accumulation/sink/stats paths."""
             sink = sink_list[index]
             if evaluations is not None:
@@ -945,8 +927,8 @@ class Campaign:
             completed_at[index] = now
 
         def _absorb_batches(index: int, batches: list[BatchRows], now: float) -> None:
-            """Route one dedup group member's lazy columnar views — the
-            batch counterpart of :func:`_absorb`. Collected runs bulk-
+            """Route one group member's lazy columnar views — the batch
+            counterpart of :func:`_absorb`. Collected runs bulk-
             materialize (a ScenarioRun forces every collected cost
             anyway); export-only runs fold the views through the
             streaming stats and columnar sinks, so only the survivors
@@ -977,10 +959,7 @@ class Campaign:
                     # Row-only sinks keep one write per chunk, exactly
                     # the granularity _absorb's row path delivers.
                     write_sink(sink, pending, label)
-            count = materialized[index]
-            materialized[index] = (count or 0) + sum(
-                batch.n_materialized for batch in batches
-            )
+            materialized[index] += sum(batch.n_materialized for batch in batches)
             progress.collected[index] += 1
             completed_at[index] = now
 
@@ -992,9 +971,8 @@ class Campaign:
             # on the leader's mere enumeration exhaustion would complete
             # it early: a parallel interleaver runs ahead of collection
             # by the in-flight window.
-            if cache is not None:
-                for follower, leader in cache.leader_of.items():
-                    progress.exhausted[follower] = progress.complete(leader)
+            for follower, leader in cache.leader_of.items():
+                progress.exhausted[follower] = progress.complete(leader)
 
         # The GC pause must cover the bulk-accumulation regions but NOT
         # the yields: consumer code between next() calls would otherwise
@@ -1026,7 +1004,7 @@ class Campaign:
             _enter_pause()
             for index, payload in results:
                 now = time.perf_counter() - start
-                if cache is not None and cache.is_shared_leader(index):
+                if columnar[index]:
                     # The leader's chunk arrived as pre-finalize states:
                     # close them under every group member's own link —
                     # one evaluation pass serves the whole group, and
@@ -1118,8 +1096,8 @@ class Campaign:
         row_caches: list[list[dict[str, Any]] | None],
         stats: list[_StreamingStats],
         completed_at: list[float],
-        cache: PipelineCostCache | None = None,
-        materialized: list[int | None] | None = None,
+        cache: PipelineCostCache,
+        materialized: list[int | None],
     ) -> list[ScenarioRun]:
         """Runs for scenarios that just completed, their sinks closed
         first so a handed-out run's exports are already flushed."""
@@ -1129,7 +1107,7 @@ class Campaign:
                 closed.add(index)
                 close_sink(sink_list[index], self._label(index))
             dedup_source = None
-            if cache is not None and index in cache.leader_of:
+            if index in cache.leader_of:
                 dedup_source = self.scenarios[cache.leader_of[index]].name
             runs.append(
                 self._build_run(
@@ -1139,7 +1117,7 @@ class Campaign:
                     stats[index],
                     completed_at[index],
                     dedup_source,
-                    materialized[index] if materialized is not None else None,
+                    materialized[index],
                 )
             )
         return runs

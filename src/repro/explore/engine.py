@@ -11,19 +11,23 @@ and serial runs are interchangeable.
 
 There is one memoized walk, the columnar fold of
 :mod:`repro.explore.vectorized`, and every model with stock cost
-semantics takes it: whole depth cohorts with lazily materialized rows
-on a serial executor (``batch-cohort``, or ``batch-cohort-pruned`` with
-the scenario's pruning fused in), compact
+semantics takes it: whole depth cohorts on a serial executor
+(``batch-cohort``, or ``batch-cohort-pruned`` with the scenario's
+pruning fused in), compact
 :class:`~repro.explore.vectorized.CohortShard` descriptors that pool
 workers decode and fold locally (``batch-shard``), and — inside a
 ``Campaign.run(dedup=True)`` — group-shared states closed under each
-member's link (``batch-dedup``). A model that customizes any cost step
-is costed per configuration through its own ``evaluate()``
-(``scalar-scratch``). :func:`evaluation_path` reports which of these
-five paths a call takes.
+member's link (``batch-dedup``). Every columnar path ends the same
+way: pre-finalize states closed under the scenario's link into lazy
+:class:`~repro.explore.vectorized.BatchRows` views, which one consumer
+loop materializes (collected runs) or hands to the sink (export-only
+runs; columnar sinks touch survivors only). Pool workers return states,
+never cost objects. A model that customizes any cost step is costed
+per configuration through its own ``evaluate()`` (``scalar-scratch``).
+:func:`evaluation_path` reports which of these five paths a call takes.
 
 The path is streaming end-to-end: nothing ever materializes the full
-configuration list, and evaluated chunks travel through the executor's
+configuration list, and pool chunks travel through the executor's
 ``imap`` with a bounded in-flight window, so peak intermediate memory
 is set by the chunk size, not the design-space size. For stock-model,
 unhooked runs (every allocation the engine's own, all acyclic) the
@@ -56,7 +60,7 @@ from repro.explore.executor import (
     resolve_executor,
 )
 from repro.explore.incremental import (
-    evaluate_chunk,
+    evaluate_chunk_states,
     uses_stock_batch_semantics,
     uses_stock_cost_semantics,
 )
@@ -68,7 +72,11 @@ from repro.explore.sink import (
     uses_columnar_writes,
     write_sink_batch,
 )
-from repro.explore.vectorized import BatchPrefixEvaluator, iter_scenario_shards
+from repro.explore.vectorized import (
+    BatchPrefixEvaluator,
+    BatchRows,
+    iter_scenario_shards,
+)
 
 #: Configurations per streamed chunk when neither the caller nor the
 #: executor pins one. Large enough to amortize chunk setup (one fold
@@ -140,27 +148,18 @@ def iter_evaluation_chunks(
     pass_rates: dict[str, float] | None = None,
     chunk_size: int | None = None,
     approx_total: int | None = None,
-    scenario: Scenario | None = None,
 ) -> Iterator[list[Any]]:
-    """Stream cost objects for a configuration iterable, as ordered
-    chunk lists (the collection loop extends at C speed).
+    """Stream per-config ``evaluate()`` costs for a configuration
+    iterable, as ordered chunk lists (the collection loop extends at C
+    speed) — the ``scalar-scratch`` pipe under :func:`explore` and the
+    ``core.offload`` explicit-config facade.
 
-    The shared evaluation pipe under :func:`explore` and the
-    ``core.offload`` facade: configurations are consumed lazily in
-    chunks, each chunk folded columnar when the model has stock cost
-    semantics (per-config ``evaluate()`` otherwise), and chunks flow
-    through the executor's bounded-window ``imap``. ``approx_total``
-    (when known) sizes chunks for parallel executors the way ``map``
-    would — about four chunks per worker — so small spaces still spread
-    across workers.
-
-    ``scenario`` (when given) enables the shard mode on parallel
-    executors with stock-semantics models: instead of pickling config
-    chunks, the stream ships compact
-    :class:`~repro.explore.vectorized.CohortShard` descriptors that
-    workers decode and fold locally — ``configs`` is then ignored, as
-    the shards re-derive the same enumeration (identical order and
-    values).
+    Configurations are consumed lazily in chunks that flow through the
+    executor's bounded-window ``imap``. ``approx_total`` (when known)
+    sizes chunks for parallel executors the way ``map`` would — about
+    four chunks per worker — so small spaces still spread across
+    workers. Stock models take the same per-config path here: their
+    ``evaluate()`` is bit-identical to the columnar fold by contract.
     """
     executor = resolve_executor(executor)
     if chunk_size is not None and chunk_size < 1:
@@ -173,21 +172,9 @@ def iter_evaluation_chunks(
             size = auto_chunk_size(approx_total, executor.workers, DEFAULT_CHUNK_SIZE)
         else:
             size = DEFAULT_CHUNK_SIZE
-    if not uses_stock_batch_semantics(model):
-        scratch = partial(_evaluate_scratch, model, pass_rates)
-        chunk_fn = partial(_run_scratch_chunk, scratch)
-        return executor.imap(chunk_fn, _chunked(iter(configs), size), chunk_size=1)
-    chunk_fn = partial(evaluate_chunk, model, pass_rates)
-    if scenario is not None and not executor.is_serial:
-        shards = iter_scenario_shards(scenario, size)
-        return executor.imap(chunk_fn, shards, chunk_size=1)
-    chunks = _chunked(iter(configs), size)
-    if executor.is_serial:
-        # One evaluator spans the whole stream: its per-pipeline plans
-        # and link terms are reused, and there is no pool plumbing.
-        evaluator = BatchPrefixEvaluator(model, pass_rates)
-        return (evaluator.evaluate_many(chunk) for chunk in chunks)
-    return executor.imap(chunk_fn, chunks, chunk_size=1)
+    scratch = partial(_evaluate_scratch, model, pass_rates)
+    chunk_fn = partial(_run_scratch_chunk, scratch)
+    return executor.imap(chunk_fn, _chunked(iter(configs), size), chunk_size=1)
 
 
 def _run_scratch_chunk(evaluate: Any, configs: list[PipelineConfig]) -> list[Any]:
@@ -210,8 +197,9 @@ def evaluation_path(
       scenario's pruning fused in (prefix bounds as boolean-mask
       compaction, per-config hooks as an emission-time filter);
     - ``"batch-shard"`` — parallel, workers receive compact
-      :class:`~repro.explore.vectorized.CohortShard` descriptors and
-      regenerate state columns locally (nothing per-row is pickled);
+      :class:`~repro.explore.vectorized.CohortShard` descriptors,
+      regenerate state columns locally and return them pre-finalize
+      (no per-row Python object crosses the pool either way);
     - ``"batch-dedup"`` — with ``dedup=True``, the path the scenario
       takes *inside* a ``Campaign.run(dedup=True)`` when it is
       campaign-dedupable (it has a
@@ -254,13 +242,15 @@ def explore(
     """Evaluate a scenario's whole (pruned) design space.
 
     Stock cost models fold columnar — serial runs stream whole depth
-    cohorts with lazily materialized rows (pruning included: prefix
-    bounds fuse in as mask compaction, per-config hooks as
-    emission-time filters), parallel runs ship
-    :class:`~repro.explore.vectorized.CohortShard` descriptors that
-    workers fold locally. Any other model is costed per configuration
-    through its own ``evaluate()``. Every path produces bit-identical
-    results (:func:`evaluation_path` reports which one runs).
+    cohorts (pruning included: prefix bounds fuse in as mask
+    compaction, per-config hooks as emission-time filters), parallel
+    runs ship :class:`~repro.explore.vectorized.CohortShard`
+    descriptors that workers fold into pre-finalize states; either way
+    the rows reach the consumer as lazy
+    :class:`~repro.explore.vectorized.BatchRows`. Any other model is
+    costed per configuration through its own ``evaluate()``. Every
+    path produces bit-identical results (:func:`evaluation_path`
+    reports which one runs).
 
     Parameters
     ----------
@@ -312,12 +302,29 @@ def explore(
     pause = stock and scenario.prune is None and sink is None
     label = f"scenario {scenario.name!r}"
     resolved = resolve_executor(executor)
-    if stock and resolved.is_serial:
-        size = chunk_size if chunk_size is not None else resolved.chunk_size
-        if size is not None and size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-        return _explore_cohorts(
-            scenario, model, size, sink, collect, collect_on_exit, pause, label
+    size = chunk_size if chunk_size is not None else resolved.chunk_size
+    if size is not None and size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
+    if stock:
+        evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
+        if resolved.is_serial:
+            batches = evaluator.iter_scenario_batches(scenario, size)
+        else:
+            shard_size = size or auto_chunk_size(
+                scenario.count_configs(), resolved.workers, DEFAULT_CHUNK_SIZE
+            )
+            states = resolved.imap(
+                partial(evaluate_chunk_states, model, scenario.pass_rates),
+                iter_scenario_shards(scenario, shard_size),
+                chunk_size=1,
+            )
+            batches = (
+                batch
+                for payload in states
+                for batch in evaluator.close(payload, scenario)
+            )
+        return _explore_batches(
+            scenario, batches, size, sink, collect, collect_on_exit, pause, label
         )
     evaluations: list[Any] = []
     # Sink rows are built per chunk and dropped after the write — NOT
@@ -326,20 +333,18 @@ def explore(
     # invariant ExplorationResult's lazy rows exist to protect); the
     # price is one lazy re-derivation if .rows is later accessed.
     with sink_stream(sink, scenario, label) as write:
-        with _gc_paused() if pause else nullcontext():
-            for costs in iter_evaluation_chunks(
-                model,
-                scenario.iter_configs(),
-                executor=executor,
-                pass_rates=scenario.pass_rates,
-                chunk_size=chunk_size,
-                approx_total=scenario.count_configs(),
-                scenario=scenario,
-            ):
-                if collect:
-                    evaluations.extend(costs)
-                if write is not None:
-                    write([cost_row(scenario, cost) for cost in costs])
+        for costs in iter_evaluation_chunks(
+            model,
+            scenario.iter_configs(),
+            executor=resolved,
+            pass_rates=scenario.pass_rates,
+            chunk_size=size,
+            approx_total=scenario.count_configs(),
+        ):
+            if collect:
+                evaluations.extend(costs)
+            if write is not None:
+                write([cost_row(scenario, cost) for cost in costs])
     if collect_on_exit:
         gc.collect()
     if not collect:
@@ -347,9 +352,9 @@ def explore(
     return ExplorationResult(scenario=scenario, evaluations=evaluations)
 
 
-def _explore_cohorts(
+def _explore_batches(
     scenario: Scenario,
-    model: Any,
+    batches: Iterator[BatchRows],
     chunk_size: int | None,
     sink: Any,
     collect: bool,
@@ -357,10 +362,11 @@ def _explore_cohorts(
     pause: bool,
     label: str,
 ) -> ExplorationResult | None:
-    """The serial columnar path of :func:`explore`: stream whole
-    depth cohorts as :class:`~repro.explore.vectorized.BatchRows`.
+    """The one consumer of :func:`explore`'s columnar paths: the lazy
+    :class:`~repro.explore.vectorized.BatchRows` of the serial cohort
+    walk or of closed pool states, in enumeration order.
 
-    With ``collect=True`` every cohort is materialized in bulk (the
+    With ``collect=True`` every batch is materialized in bulk (the
     result must hold all evaluations anyway); with ``collect=False``
     nothing is materialized except what the sink touches. Columnar
     sinks (``ParetoSink``/``TopKSink`` — anything overriding
@@ -368,17 +374,15 @@ def _explore_cohorts(
     materialize only surviving rows, so live cost objects stay bounded
     by the survivor count, not the design-space size. Row-only sinks
     keep the streaming contract exactly: rows are buffered across
-    cohort boundaries and written once per ``chunk_size`` rows, in
-    enumeration order — byte-identical writes, same write count, same
-    bounded peak, as the chunked paths.
+    batch boundaries and written once per ``chunk_size`` rows, in
+    enumeration order (one write per batch when no size is pinned).
     """
-    evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
     evaluations: list[Any] = []
     columnar = sink is not None and uses_columnar_writes(sink)
     pending: list[dict[str, Any]] = []  # row buffer for row-only sinks
     with sink_stream(sink, scenario, label) as write:
         with _gc_paused() if pause else nullcontext():
-            for batch in evaluator.iter_scenario_batches(scenario, chunk_size):
+            for batch in batches:
                 if collect:
                     costs = batch.costs()
                     evaluations.extend(costs)
@@ -395,7 +399,7 @@ def _explore_cohorts(
                         write(pending[:chunk_size])
                         del pending[:chunk_size]
                 elif pending:
-                    # No pinned chunk size: one write per depth cohort.
+                    # No pinned chunk size: one write per batch.
                     write(pending)
                     pending.clear()
             if write is not None and not columnar and pending:

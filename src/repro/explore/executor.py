@@ -15,6 +15,13 @@ results in item order with bounded memory — at most a fixed window of
 chunks is ever in flight, so a design space far larger than RAM can
 stream through.
 
+What crosses the pool is the caller's choice, and the exploration
+engine keeps it small in both directions: it maps
+:func:`~repro.explore.incremental.evaluate_chunk_states` over compact
+:class:`~repro.explore.vectorized.CohortShard` descriptors, so workers
+receive a few integers per chunk and return pre-finalize state arrays,
+never per-row cost objects; the parent closes the states.
+
 The process backend requires the mapped callable and its items to be
 picklable. When they are not (lambdas, closures over live objects), the
 executor falls back to the serial path instead of failing, so debugging
@@ -144,13 +151,6 @@ class SweepExecutor:
     @property
     def is_serial(self) -> bool:
         return self.workers is None or self.workers <= 1
-
-    @property
-    def is_process(self) -> bool:
-        """Whether work ships to worker *processes* — pickled per task,
-        so shared in-memory caches never reach them (drivers gate
-        cache offers on this)."""
-        return not self.is_serial and self.backend == "process"
 
     def _warn_fallback(self, exc: BaseException) -> None:
         warnings.warn(

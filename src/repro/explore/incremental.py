@@ -17,23 +17,18 @@ byte-for-byte against :func:`repro.explore.explore_brute_force`.
 
 This module holds what both the solo engine and the campaign driver
 share around that fold: the stock-semantics probes, the per-depth link
-term, and the picklable chunk entry points process pools call
-(:func:`evaluate_chunk`, :func:`evaluate_chunk_states`). A model that
-customizes any cost step is not memoized at all — the engine costs it
-per configuration through its own ``evaluate()``.
+term, and the one picklable chunk function process pools call
+(:func:`evaluate_chunk_states`), which returns pre-finalize states,
+never cost objects. A model that customizes any cost step is not
+memoized at all — the engine costs it per configuration through its
+own ``evaluate()``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.cost import (
-    ConfigCost,
-    EnergyCost,
-    EnergyCostModel,
-    ThroughputCostModel,
-)
-from repro.core.pipeline import PipelineConfig
+from repro.core.cost import EnergyCostModel, ThroughputCostModel
 
 #: The scalar cost-defining steps of both stock models.
 _COST_STEPS = ("evaluate", "initial_state", "extend_state", "finalize")
@@ -90,7 +85,7 @@ def uses_stock_batch_semantics(model: Any) -> bool:
 
 
 def depth_link_cost(
-    link: Any, energy: bool, cache: dict[int, Any], depth: int, config: PipelineConfig
+    link: Any, energy: bool, cache: dict[int, Any], pipeline: Any, depth: int
 ) -> Any:
     """The per-depth link term, computed once per cut depth and cached.
 
@@ -99,13 +94,13 @@ def depth_link_cost(
     ((transmit joules, transmit seconds) in the energy domain, the
     communication frame rate in the throughput domain). Shared by
     :class:`~repro.explore.vectorized.BatchPrefixEvaluator` and the
-    campaign dedup finalizer (:class:`repro.explore.campaign.
-    _StateFinalizer`): one definition, so a dedup member's finalize is
-    expression-identical to solo evaluation.
+    campaign group finalizer (:class:`repro.explore.campaign.
+    _StateFinalizer`): one definition, so a campaign member's finalize
+    is expression-identical to solo evaluation.
     """
     cached = cache.get(depth)
     if cached is None:
-        offload_bytes = config.offload_bytes
+        offload_bytes = pipeline.output_bytes_after(depth)
         if energy:
             cached = (
                 link.tx_energy_for_bytes(offload_bytes),
@@ -117,58 +112,28 @@ def depth_link_cost(
     return cached
 
 
-def evaluate_chunk(
-    model: ThroughputCostModel | EnergyCostModel,
-    pass_rates: dict[str, float] | None,
-    configs: Sequence[PipelineConfig],
-) -> list[ConfigCost | EnergyCost]:
-    """Evaluate one contiguous chunk of configurations columnar.
-
-    Module-level (picklable) so the process-pool backend can ship
-    chunks to workers; each chunk gets its own evaluator, so results
-    are independent of how the stream was chunked. Both the solo engine
-    and the campaign driver's tagged chunks evaluate through this one
-    function, which is why interleaving a fleet cannot change any
-    scenario's values. The model must have stock cost semantics (see
-    :func:`uses_stock_batch_semantics`).
-
-    ``configs`` may also be a :class:`~repro.explore.vectorized.CohortShard`
-    descriptor instead of a config sequence: workers then regenerate
-    the rows locally from the flat indices (O(depth) array work,
-    nothing per-row pickled).
-    """
-    from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
-
-    evaluator = BatchPrefixEvaluator(model, pass_rates)
-    if isinstance(configs, CohortShard):
-        return evaluator.evaluate_shard(configs)
-    return evaluator.evaluate_many(configs)
-
-
 def evaluate_chunk_states(
     model: ThroughputCostModel | EnergyCostModel,
     pass_rates: dict[str, float] | None,
-    configs: Sequence[PipelineConfig],
+    chunk: Any,
 ) -> Any:
-    """The chunk's pre-finalize states (module-level for process-pool
-    picklability) — the dedup counterpart of :func:`evaluate_chunk`:
-    the campaign driver ships a shared pipeline's chunks through this
-    when several scenarios will finalize the same compute-side states
-    under their own links.
+    """One chunk's pre-finalize states — the one picklable chunk
+    function of the columnar fold (module-level so process pools can
+    ship it).
 
-    Returns a :class:`~repro.explore.vectorized.BatchChunkStates` whose
-    segments carry the decoded choice matrix and per-level platform
-    names alongside each depth-cohort state — everything a member needs
-    to wrap the shared state in a lazy
-    :class:`~repro.explore.vectorized.BatchRows` view after a
-    multi-link ``finalize_batch_multi`` without re-deriving configs.
-    Like :func:`evaluate_chunk`, ``configs`` may be a
+    ``chunk`` is a config sequence (serial campaign chunks) or a
     :class:`~repro.explore.vectorized.CohortShard` the worker decodes
-    locally.
+    locally (pool chunks of ``explore()`` and campaigns). Returns a
+    :class:`~repro.explore.vectorized.BatchChunkStates`: per depth
+    segment the compute-side state arrays, the ``(n, depth)`` choice
+    matrix and the per-level platform names — never a cost object. The
+    caller closes the states under each scenario's own link into lazy
+    :class:`~repro.explore.vectorized.BatchRows` views, so only rows a
+    consumer touches ever become Python objects.
     """
     from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
 
     evaluator = BatchPrefixEvaluator(model, pass_rates)
-    if isinstance(configs, CohortShard):
-        return evaluator.states_shard(configs)
-    return evaluator.states_chunk(configs)
+    if isinstance(chunk, CohortShard):
+        return evaluator.states_shard(chunk)
+    return evaluator.states_chunk(chunk)

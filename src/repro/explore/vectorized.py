@@ -43,8 +43,11 @@ Pruned and parallel runs ride the same columnar core:
 * Parallel executors ship :class:`CohortShard` descriptors — compact
   (depth, flat index range) slices of a cohort — instead of pickled
   config lists; workers regenerate the state columns locally from the
-  prefix plan in O(depth) array operations
-  (:meth:`BatchPrefixEvaluator.evaluate_shard`).
+  prefix plan in O(depth) array operations and return them pre-finalize
+  (:meth:`BatchPrefixEvaluator.states_shard`). The parent closes them
+  under the scenario's link (:meth:`BatchPrefixEvaluator.close`) into
+  the same lazy :class:`BatchRows` views the serial walk yields, so
+  workers never build a cost object.
 
 Only models with fully stock cost semantics fold here
 (:func:`~repro.explore.incremental.uses_stock_batch_semantics`); a
@@ -316,27 +319,29 @@ class BatchChunkStates:
     """Pre-finalize compute-side states of one evaluated chunk, columnar.
 
     Contiguous same-``(pipeline, depth)`` runs of the chunk, each a
-    ``(configs, depth, state, choices, level_names)`` segment — one
+    ``(pipeline, depth, state, choices, level_names)`` segment — one
     struct-of-arrays state plus the ``(n, depth)`` choice matrix and
-    per-level platform names that let a member build a lazy
-    :class:`BatchRows` view without re-deriving them. Campaign dedup
-    finalizes every run under each member scenario's own link terms
+    per-level platform names that let a consumer build a lazy
+    :class:`BatchRows` view without re-deriving configs. Solo
+    ``explore()`` closes segments under its scenario's link
+    (:meth:`BatchPrefixEvaluator.close`), campaigns under each group
+    member's own link
     (:meth:`repro.explore.campaign.PipelineCostCache.finalize_group`);
-    picklable, so process-pool leaders can ship states back.
+    picklable, so pool workers ship states back instead of cost objects.
     """
 
     __slots__ = ("segments", "energy")
 
     def __init__(
         self,
-        segments: list[tuple[list[PipelineConfig], int, Any, Any, tuple]],
+        segments: list[tuple[InCameraPipeline, int, Any, Any, tuple]],
         energy: bool,
     ):
         self.segments = segments
         self.energy = energy
 
     def __len__(self) -> int:
-        return sum(len(segment[0]) for segment in self.segments)
+        return sum(segment[3].shape[0] for segment in self.segments)
 
 
 class CohortShard:
@@ -421,12 +426,12 @@ class BatchPrefixEvaluator:
     """Evaluate configurations of stock-semantics models as columnar
     struct-of-arrays folds.
 
-    Three entry points share one fold core: :meth:`evaluate_many` (an
-    arbitrary chunk, materialized cost objects — what campaign chunks,
-    explicit config lists and parallel workers use),
-    :meth:`states_chunk` (pre-finalize states for dedup leaders), and
+    Two kinds of entry point share one fold core:
+    :meth:`states_chunk`/:meth:`states_shard` (one chunk's pre-finalize
+    states — what campaign chunks and pool workers return, closed by
+    :meth:`close` or the campaign's group finalize), and
     :meth:`iter_scenario_batches` (whole-space cohort enumeration with
-    lazy :class:`BatchRows`, the solo ``explore()`` path). Every path
+    lazy :class:`BatchRows`, the serial ``explore()`` path). Every path
     replays the scalar fold's float operations elementwise, so results
     are bit-identical to per-config ``evaluate()`` (and to brute force)
     — asserted row-for-row by the invariant suite.
@@ -510,67 +515,44 @@ class BatchPrefixEvaluator:
             raise
         return np.array(rows, dtype=np.intp).reshape(len(run), depth)
 
-    def _run_state(
-        self, plan: _PipelinePlan, depth: int, run: Sequence[PipelineConfig]
-    ) -> Any:
-        """The pre-finalize state arrays of one same-depth run."""
-        return self._fold_choices(plan, depth, self._run_choices(plan, depth, run))
-
     def _fold_choices(self, plan: _PipelinePlan, depth: int, choices: Any) -> Any:
         """The pre-finalize state arrays of one ``(n, depth)`` choice
-        matrix — the shared fold core of chunk evaluation
-        (:meth:`_run_state`) and shard regeneration
-        (:meth:`evaluate_shard`/:meth:`states_shard`)."""
+        matrix — the shared fold core of :meth:`states_chunk` and
+        :meth:`states_shard`."""
         levels = plan.levels
         state = self.model.initial_state_batch(choices.shape[0])
         for level in range(depth):
             state = self._extend(state, levels[level], choices[:, level])
         return state
 
-    def evaluate_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[ConfigCost | EnergyCost]:
-        """Costs for a configuration sequence, in sequence order — values
-        bit-identical to ``[model.evaluate(c) for c in configs]``. Any
-        order and any mix of pipelines and depths is legal; contiguous
-        same-depth runs fold together."""
-        configs = configs if isinstance(configs, Sequence) else list(configs)
-        model = self.model
-        energy = self._energy
-        out: list[ConfigCost | EnergyCost] = []
-        for pipeline, depth, run in self._segments(configs):
-            plan = self._plan_for(pipeline)
-            state = self._run_state(plan, depth, run)
-            link_cost = depth_link_cost(
-                model.link, energy, plan.link_costs, depth, run[0]
-            )
-            out.extend(
-                _materialize_costs(run, model.finalize_batch(state, link_cost), energy)
-            )
-        return out
+    def _segment(self, plan: _PipelinePlan, depth: int, choices: Any) -> tuple:
+        """One ``BatchChunkStates`` segment of a decoded choice matrix."""
+        state = self._fold_choices(plan, depth, choices)
+        names = tuple(level.names for level in plan.levels[:depth])
+        return (plan.pipeline, depth, state, choices, names)
 
     def states_chunk(self, configs: Iterable[PipelineConfig]) -> BatchChunkStates:
-        """The chunk's pre-finalize states as a :class:`BatchChunkStates`
-        — what campaign dedup leaders evaluate for their group."""
+        """A config sequence's pre-finalize states as a
+        :class:`BatchChunkStates`, in sequence order. Any order and any
+        mix of pipelines and depths is legal; contiguous same-depth runs
+        fold together."""
         configs = configs if isinstance(configs, Sequence) else list(configs)
         segments = []
         for pipeline, depth, run in self._segments(configs):
             plan = self._plan_for(pipeline)
             choices = self._run_choices(plan, depth, run)
-            state = self._fold_choices(plan, depth, choices)
-            names = tuple(level.names for level in plan.levels[:depth])
-            segments.append((run, depth, state, choices, names))
+            segments.append(self._segment(plan, depth, choices))
         return BatchChunkStates(segments, self._energy)
 
     # -- shard regeneration ----------------------------------------------
 
-    def _shard_rows(
-        self, shard: CohortShard
-    ) -> tuple[_PipelinePlan, Any, list[PipelineConfig]]:
-        """Decode a shard into its plan, ``(n, depth)`` choice matrix and
-        trusted configs — mixed-radix decode from the least significant
-        (deepest) level, the inverse of the enumeration's
-        ``flat = flat * k + choice`` accumulation."""
+    def states_shard(self, shard: CohortShard) -> BatchChunkStates:
+        """A :class:`CohortShard`'s pre-finalize states — what pool
+        workers run instead of folding a pickled config chunk. The
+        flat indices decode into the ``(n, depth)`` choice matrix by
+        mixed radix from the least significant (deepest) level, the
+        inverse of the enumeration's ``flat = flat * k + choice``
+        accumulation, so rows come out in enumeration order."""
         plan = self._plan_for(shard.pipeline)
         levels = plan.levels
         depth = shard.depth
@@ -583,49 +565,54 @@ class BatchPrefixEvaluator:
             flat = np.asarray(shard.indices, dtype=np.intp).copy()
         else:
             flat = np.arange(shard.lo, shard.hi, dtype=np.intp)
+        if flat.shape[0] == 0:
+            return BatchChunkStates([], self._energy)
         choices = np.empty((flat.shape[0], depth), dtype=np.intp)
         for level in range(depth - 1, -1, -1):
             k = len(levels[level].names)
             choices[:, level] = flat % k
             flat //= k
-        names = [level.names for level in levels[:depth]]
-        trusted = PipelineConfig.trusted
-        configs = [
-            trusted(
-                shard.pipeline, tuple(names[level][c] for level, c in enumerate(row))
-            )
-            for row in choices.tolist()
-        ]
-        return plan, choices, configs
+        return BatchChunkStates([self._segment(plan, depth, choices)], self._energy)
 
-    def evaluate_shard(self, shard: CohortShard) -> list[ConfigCost | EnergyCost]:
-        """Costs for every row of a :class:`CohortShard`, in flat-index
-        order — what pool workers run instead of
-        :meth:`evaluate_many` over a pickled config chunk. Row values
-        are bit-identical to the scalar fold of the same configs."""
-        plan, choices, configs = self._shard_rows(shard)
-        if not configs:
-            return []
-        state = self._fold_choices(plan, shard.depth, choices)
+    # -- closing states --------------------------------------------------
+
+    def _close(
+        self,
+        scenario: Any,
+        pipeline: InCameraPipeline,
+        depth: int,
+        state: Any,
+        choices: Any,
+        names: tuple,
+    ) -> BatchRows:
+        """One depth segment's state closed under the model's own link:
+        the per-depth link term (cached per pipeline plan) and one
+        ``finalize_batch``, wrapped in a lazy :class:`BatchRows` view."""
         link_cost = depth_link_cost(
-            self.model.link, self._energy, plan.link_costs, shard.depth, configs[0]
+            self.model.link,
+            self._energy,
+            self._plan_for(pipeline).link_costs,
+            pipeline,
+            depth,
         )
-        return _materialize_costs(
-            configs, self.model.finalize_batch(state, link_cost), self._energy
+        columns = self.model.finalize_batch(state, link_cost)
+        return BatchRows(
+            scenario, pipeline, depth, names, choices, columns, self._energy
         )
 
-    def states_shard(self, shard: CohortShard) -> BatchChunkStates:
-        """A shard's pre-finalize states as :class:`BatchChunkStates` —
-        the shard counterpart of :meth:`states_chunk` for campaign
-        dedup leaders."""
-        plan, choices, configs = self._shard_rows(shard)
-        if not configs:
-            return BatchChunkStates([], self._energy)
-        state = self._fold_choices(plan, shard.depth, choices)
-        names = tuple(level.names for level in plan.levels[: shard.depth])
-        return BatchChunkStates(
-            [(configs, shard.depth, state, choices, names)], self._energy
-        )
+    def close(
+        self, payload: BatchChunkStates, scenario: Any = None
+    ) -> list[BatchRows]:
+        """A chunk's states closed into lazy :class:`BatchRows`, one per
+        segment, in chunk order — nothing is materialized. With a
+        ``scenario``, rows reference its own pipeline (a pool worker's
+        payload carries an unpickled copy)."""
+        out = []
+        for pipeline, depth, state, choices, names in payload.segments:
+            if scenario is not None:
+                pipeline = scenario.pipeline
+            out.append(self._close(scenario, pipeline, depth, state, choices, names))
+        return out
 
     # -- whole-space cohort enumeration ----------------------------------
 
@@ -669,7 +656,6 @@ class BatchPrefixEvaluator:
         prune_depth = scenario.depth_prune_hook()
         energy = self._energy
         model = self.model
-        link_cache = plan.link_costs
         trusted = PipelineConfig.trusted
 
         def hook_filter(depth: int, choices: Any, state: Any) -> tuple[Any, Any]:
@@ -698,21 +684,8 @@ class BatchPrefixEvaluator:
         def emit(depth: int, choices: Any, state: Any) -> Iterator[BatchRows]:
             if choices.shape[0] == 0:
                 return
-            representative = trusted(
-                pipeline, tuple(level.names[0] for level in levels[:depth])
-            )
-            link_cost = depth_link_cost(
-                model.link, energy, link_cache, depth, representative
-            )
-            batch = BatchRows(
-                scenario,
-                pipeline,
-                depth,
-                tuple(level.names for level in levels[:depth]),
-                choices,
-                model.finalize_batch(state, link_cost),
-                energy,
-            )
+            names = tuple(level.names for level in levels[:depth])
+            batch = self._close(scenario, pipeline, depth, state, choices, names)
             n = len(batch)
             if chunk_size is None or n <= chunk_size:
                 yield batch

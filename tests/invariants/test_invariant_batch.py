@@ -73,7 +73,8 @@ def test_batch_fold_equals_scalar_fold_on_shuffled_configs(gen, seed):
     configs = [configs[int(i)] for i in order]
 
     batch = BatchPrefixEvaluator(model, pass_rates=scenario.pass_rates)
-    got = [cost_row(scenario, cost) for cost in batch.evaluate_many(configs)]
+    states = batch.states_chunk(configs)
+    got = [row for view in batch.close(states, scenario) for row in view.rows()]
     if scenario.domain == "energy":
         want = [
             cost_row(scenario, model.evaluate(config, scenario.pass_rates))

@@ -331,8 +331,9 @@ def test_dedup_group_with_identical_links_reuses_too():
 
 
 def test_states_many_requires_prefix_eligible_model():
-    """Shared pre-finalize states exist only for stock cost semantics: a
-    custom evaluate() has no well-defined state to share."""
+    """Pre-finalize states — what every columnar chunk returns and dedup
+    groups share — exist only for stock cost semantics: a custom
+    evaluate() has no well-defined state to ship or share."""
     from repro.explore.incremental import evaluate_chunk_states
 
     class Custom(EnergyCostModel):

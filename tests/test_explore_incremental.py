@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.block import Block, Implementation
 from repro.core.cost import EnergyCostModel, ThroughputCostModel
+from repro.core.offload import OffloadAnalyzer
 from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import (
@@ -34,7 +35,7 @@ from repro.explore import (
     uses_stock_batch_semantics,
 )
 from repro.explore.engine import iter_evaluation_chunks
-from repro.explore.incremental import evaluate_chunk
+from repro.explore.incremental import evaluate_chunk_states
 from repro.explore.result import cost_row
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, LinkModel
 from repro.vr.scenarios import build_vr_pipeline
@@ -126,6 +127,22 @@ def fig10_scenario(**overrides) -> Scenario:
 # -- prefix walk vs from-scratch evaluation (property-style) -------------
 
 
+def fold_costs(evaluator, configs):
+    """Costs of an arbitrary config chunk through the columnar entry
+    points: pre-finalize states, closed into lazy BatchRows, then
+    materialized."""
+    states = evaluator.states_chunk(configs)
+    return [cost for batch in evaluator.close(states) for cost in batch.costs()]
+
+
+def chunk_costs(model, chunk):
+    """One chunk through the picklable pool entry point, closed in a
+    fresh evaluator — what a pool round trip does."""
+    states = evaluate_chunk_states(model, None, chunk)
+    batches = BatchPrefixEvaluator(model).close(states)
+    return [cost for batch in batches for cost in batch.costs()]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_prefix_evaluator_matches_from_scratch_throughput(seed):
     rng = random.Random(seed)
@@ -135,7 +152,7 @@ def test_prefix_evaluator_matches_from_scratch_throughput(seed):
     orders = [configs, list(reversed(configs)), rng.sample(configs, len(configs))]
     for order in orders:
         evaluator = BatchPrefixEvaluator(model)
-        for config, got in zip(order, evaluator.evaluate_many(order)):
+        for config, got in zip(order, fold_costs(evaluator, order)):
             want = model.evaluate(config)
             # Bit-identical, not approx: the walk replays the same ops.
             assert got.compute_fps == want.compute_fps
@@ -159,7 +176,7 @@ def test_prefix_evaluator_matches_from_scratch_energy(seed):
     for pass_rates in overrides_pool:
         for order in (configs, rng.sample(configs, len(configs))):
             evaluator = BatchPrefixEvaluator(model, pass_rates)
-            for config, got in zip(order, evaluator.evaluate_many(order)):
+            for config, got in zip(order, fold_costs(evaluator, order)):
                 want = model.evaluate(config, pass_rates)
                 assert got.total_energy == want.total_energy
                 assert got.block_energies == want.block_energies
@@ -175,11 +192,11 @@ def test_prefix_evaluator_chunking_invariance():
     pipeline = random_pipeline(rng, n_blocks=5)
     model = ThroughputCostModel(LinkModel(name="l", raw_bps=1e6))
     configs = list(iter_configs(pipeline))
-    whole = evaluate_chunk(model, None, configs)
+    whole = chunk_costs(model, configs)
     for size in (1, 3, 7, 1000):
         chunked = []
         for start in range(0, len(configs), size):
-            chunked.extend(evaluate_chunk(model, None, configs[start : start + size]))
+            chunked.extend(chunk_costs(model, configs[start : start + size]))
         assert [(c.compute_fps, c.communication_fps, c.slowest_block) for c in chunked] == [
             (c.compute_fps, c.communication_fps, c.slowest_block) for c in whole
         ]
@@ -192,7 +209,7 @@ def test_prefix_evaluator_resets_between_pipelines():
     evaluator = BatchPrefixEvaluator(model)
     interleaved = [c for pair in zip(iter_configs(a), iter_configs(b)) for c in pair]
     for config in interleaved:
-        (got,) = evaluator.evaluate_many([config])
+        (got,) = fold_costs(evaluator, [config])
         want = model.evaluate(config)
         assert got.total_energy == want.total_energy
         assert got.active_seconds == want.active_seconds
@@ -234,11 +251,9 @@ def test_prefix_evaluator_rejects_pass_rates_for_throughput():
 def test_invalid_trusted_config_raises_pipeline_error():
     pipeline = random_pipeline(random.Random(5), 2)
     config = PipelineConfig.trusted(pipeline, ("no-such-platform",))
-    evaluator = BatchPrefixEvaluator(
-        ThroughputCostModel(LinkModel(name="l", raw_bps=1.0))
-    )
+    analyzer = OffloadAnalyzer(ThroughputCostModel(LinkModel(name="l", raw_bps=1.0)))
     with pytest.raises(PipelineError):
-        evaluator.evaluate_many([config])
+        analyzer.analyze(pipeline, configs=[config])
 
 
 @pytest.mark.parametrize("domain", ["throughput", "energy"])
@@ -254,13 +269,13 @@ def test_evaluator_stays_correct_after_a_failing_config(domain):
     evaluator = BatchPrefixEvaluator(model)
     configs = list(iter_configs(pipeline, include_empty=False))
     deepest = max(configs, key=lambda c: c.n_in_camera)
-    evaluator.evaluate_many([deepest])  # build the deep plan first
+    fold_costs(evaluator, [deepest])  # build the deep plan first
     bad = PipelineConfig.trusted(
         pipeline, (deepest.platforms[0], "no-such-platform")
     )
     with pytest.raises(PipelineError):  # fails mid-walk, past the shared prefix
-        evaluator.evaluate_many([deepest, bad])
-    for config, got in zip(configs, evaluator.evaluate_many(configs)):
+        fold_costs(evaluator, [deepest, bad])
+    for config, got in zip(configs, fold_costs(evaluator, configs)):
         want = model.evaluate(config)
         if domain == "throughput":
             assert (got.compute_fps, got.slowest_block) == (
@@ -285,10 +300,10 @@ def test_evaluator_recovers_from_invalid_pass_rate_mid_walk():
     configs = list(iter_configs(pipeline, include_empty=False))
     deepest = max(configs, key=lambda c: c.n_in_camera)
     with pytest.raises(PipelineError, match=repr(bad_block)):  # hit at block 2
-        evaluator.evaluate_many([deepest])
+        fold_costs(evaluator, [deepest])
     shallow = [c for c in configs if c.n_in_camera <= 2]
     # Still fine below the faulty block.
-    for config, got in zip(shallow, evaluator.evaluate_many(shallow)):
+    for config, got in zip(shallow, fold_costs(evaluator, shallow)):
         want = model.evaluate(config, evaluator.pass_rates)
         assert got.total_energy == want.total_energy
         assert got.active_seconds == want.active_seconds
@@ -314,7 +329,7 @@ def test_label_cache_handles_shared_implementation_objects():
     link = LinkModel(name="l", raw_bps=1e6)
     model = ThroughputCostModel(link)
     configs = list(iter_configs(pipeline))
-    for config, got in zip(configs, BatchPrefixEvaluator(model).evaluate_many(configs)):
+    for config, got in zip(configs, fold_costs(BatchPrefixEvaluator(model), configs)):
         assert got.slowest_block == model.evaluate(config).slowest_block
     scenario = Scenario(name="shared", pipeline=pipeline, link=link)
     assert json.dumps(explore(scenario).rows) == json.dumps(

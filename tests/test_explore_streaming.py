@@ -283,6 +283,11 @@ def test_sink_error_preserves_sibling_streamed_frontiers():
             self.seen.extend(rows)
             super().write_rows(rows)
 
+        def write_batch(self, batch):
+            # Columnar campaign chunks arrive as lazy batches.
+            self.seen.extend(batch.rows())
+            super().write_batch(batch)
+
     sinks: dict[str, ResultSink] = {
         scenario.name: RecordingPareto() for scenario in fleet
     }

@@ -11,6 +11,7 @@ and the error surfaces of every entry point.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,25 +318,33 @@ def test_invalid_trusted_platform_raises_like_the_scalar_walk():
     config = PipelineConfig.trusted(pipeline, ("bogus",))
     evaluator = BatchPrefixEvaluator(ThroughputCostModel(LINK))
     with pytest.raises(PipelineError):
-        evaluator.evaluate_many([config])
+        evaluator.states_chunk([config])
 
 
 def test_states_chunk_segments_cover_the_chunk():
     scenario = build_scenario()
     configs = list(scenario.iter_configs())
-    states = BatchPrefixEvaluator(scenario.cost_model()).states_chunk(configs)
+    evaluator = BatchPrefixEvaluator(scenario.cost_model())
+    states = evaluator.states_chunk(configs)
     assert isinstance(states, BatchChunkStates)
     assert len(states) == len(configs)
-    assert [c for run, *_rest in states.segments for c in run] == configs
-    # Each segment carries the lazy-member plumbing: an (n, depth)
-    # choice matrix plus the per-level platform names that decode it.
-    for run, depth, _state, choices, names in states.segments:
-        assert choices.shape == (len(run), depth)
+    # Each segment carries the lazy-view plumbing instead of configs: an
+    # (n, depth) choice matrix plus the per-level platform names that
+    # decode it, over the chunk's pipeline.
+    decoded = []
+    for pipeline, depth, _state, choices, names in states.segments:
+        assert pipeline is scenario.pipeline
+        assert choices.shape[1] == depth
         assert len(names) == depth
-        for config, row in zip(run, choices.tolist()):
-            assert config.platforms == tuple(
-                names[level][c] for level, c in enumerate(row)
-            )
+        decoded.extend(
+            tuple(names[level][c] for level, c in enumerate(row))
+            for row in choices.tolist()
+        )
+    assert decoded == [config.platforms for config in configs]
+    # Closed under the model's own link, the views reproduce the
+    # from-scratch rows byte for byte.
+    rows = [row for batch in evaluator.close(states, scenario) for row in batch.rows()]
+    assert json.dumps(rows) == json.dumps(explore_brute_force(scenario).rows)
 
 
 # -- columnar sink folds -------------------------------------------------
@@ -450,3 +459,60 @@ def test_columnar_sinks_match_collected_results_end_to_end():
     frontier = ParetoSink()
     explore(scenario, sink=frontier, collect=False)
     assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto())
+
+
+# -- pool runs stay lazy -----------------------------------------------------
+
+
+class _CountingTopKSink(TopKSink):
+    """A top-k sink counting the batches it receives and the rows the
+    lazy columnar path materialized for it."""
+
+    def __init__(self) -> None:
+        super().__init__("total_fps", k=3)
+        self.batches = 0
+        self.rows_seen = 0
+        self.materialized = 0
+
+    def write_batch(self, batch) -> None:
+        before = batch.n_materialized
+        super().write_batch(batch)
+        self.batches += 1
+        self.rows_seen += len(batch)
+        self.materialized += batch.n_materialized - before
+
+
+@pytest.mark.parametrize("case", ["explore", "campaign"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_pool_runs_close_states_lazily(backend, case):
+    """Pool workers return pre-finalize states, never cost objects: an
+    export-only pool explore() hands its columnar sink lazy BatchRows
+    and materializes survivors only, and a dedup-off pool campaign
+    reports how few rows its consumers materialized."""
+    from repro.explore import Campaign
+
+    executor = SweepExecutor(workers=2, backend=backend)
+    scenario = build_scenario(pipeline=build_pipeline(5))
+    n_configs = scenario.count_configs()
+    if case == "explore":
+        sink = _CountingTopKSink()
+        assert explore(scenario, executor, sink=sink, collect=False) is None
+        assert sink.batches > 0
+        assert sink.rows_seen == n_configs
+        assert sink.materialized < n_configs / 10, sink.materialized
+        serial = _CountingTopKSink()
+        explore(scenario, sink=serial, collect=False)
+        assert json.dumps(sink.top_k()) == json.dumps(serial.top_k())
+        return
+    # Energy domain: its default frontier is small, so the streamed
+    # stats keep few rows (the tie-heavy throughput frontier would not).
+    scenario = replace(scenario, domain="energy", target_fps=None, energy_budget_j=2e-5)
+    slow = LinkModel("slow", 4e5, tx_energy_per_bit=2e-9)
+    fleet = [scenario, replace(scenario, name="vec-slow", link=slow)]
+    result = Campaign(fleet).run(executor, dedup=False, collect=False)
+    for run in result:
+        assert run.dedup_source is None
+        assert run.n_evaluated == n_configs
+        assert isinstance(run.n_materialized, int)
+        assert run.n_materialized < run.n_evaluated / 4, run.n_materialized
+    assert result.cache_stats["dedup_groups"] == {}
